@@ -146,7 +146,11 @@ def cmd_verify(args) -> int:
         f"cnf-clauses {s.cnf_clauses}",
         f"decisions {s.decisions}",
         f"conflicts {s.conflicts}",
+        f"propagations {s.propagations}",
+        f"canon-sat-calls {s.canon_sat_calls}",
     ]
+    if verdict.trace is not None:
+        lines.append(f"trace-canonical {s.trace_canonical}")
     if verdict.per_output is not None:
         lines += [f"output {po} {_verdict_word(v)}" for po, v in verdict.per_output.items()]
     if verdict.trace is not None:

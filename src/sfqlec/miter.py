@@ -9,6 +9,17 @@ disagreement, and a CDCL run settles the rest.
 Counterexample models are canonicalized to the lexicographically smallest
 satisfying assignment (inputs ordered by name, then step, preferring 0), so
 witnesses do not depend on solver internals or on which pass found them.
+The greedy pass walks the cone inputs in that order.  A bit already 0 stays
+0; a set bit is first flipped to 0 and the root re-evaluated over its cone,
+and only when that loses the disagreement does one incremental solver per
+root (the main solve's, when there was one) answer whether some assignment
+extends the fixed prefix with a 0, under assumptions.
+
+One `Budget` of conflicts and seconds covers the main solve of every root
+and every canonicalization call.  When it runs out during canonicalization
+the current, valid but not minimal, witness is kept, and
+`VerdictStats.trace_canonical` says "budget" instead of "yes"; cones too
+large to canonicalize (`_CANON_CAP`) say "capped".
 """
 
 import random
@@ -19,7 +30,7 @@ from .errors import SfqlecError
 from .itcl import InputMatching, match_inputs
 from .mcid import MCIDCircuit
 from .netlist import Netlist, topological_order
-from .sat import CdclSolver, cnf_from_aig, _label_key
+from .sat import Budget, CdclSolver, cnf_from_aig, _label_key
 from .trace import TimedTrace
 
 _SIM_ROUNDS = 8
@@ -50,6 +61,8 @@ class VerdictStats:
     decisions: int = 0
     conflicts: int = 0
     propagations: int = 0
+    canon_sat_calls: int = 0
+    trace_canonical: str = ""  # "yes", "capped" or "budget" when there is a trace
 
 
 @dataclass
@@ -116,68 +129,80 @@ def build_miter(
     return Miter(aig, root, outputs, matching, mcid, golden)
 
 
-def _lex_min_model(aig: Aig, root: int, model: dict) -> dict:
-    """Fix cone inputs to 0 in order wherever the root stays satisfiable."""
-    cnf = cnf_from_aig(aig, root)
-    n_in = len(cnf.input_vars)
-    if n_in * max(1, cnf.num_vars - n_in) > _CANON_CAP:
+def _lex_min_model(
+    aig: Aig, root: int, model: dict, stats: VerdictStats, budget: Budget, sat=None
+) -> dict:
+    """Fix cone inputs to 0 in order wherever the root stays satisfiable.
+
+    `sat` is the root's (cnf, solver) pair if the main solve built one.
+    """
+    ins, ands = aig.cone([root])
+    if len(ins) * max(1, len(ands)) > _CANON_CAP:
+        stats.trace_canonical = "capped"
         return model
-    by_var = {v: lbl for lbl, v in cnf.input_vars.items()}
-    fixed: list[tuple[int, ...]] = []
-    cur = dict(model)
-    for var in range(1, n_in + 1):
-        lbl = by_var[var]
-        if cur.get(lbl, 0) == 0:
-            fixed.append((-var,))
+    nodes = sorted(ins + ands)
+    labels = sorted((aig.label(i) for i in ins), key=_label_key)
+    cur = {lbl: model.get(lbl, 0) for lbl in labels}
+    for k, lbl in enumerate(labels):
+        if not cur[lbl]:
             continue
-        status, m = CdclSolver(cnf.num_vars, cnf.clauses + fixed + [(-var,)]).solve()
+        cur[lbl] = 0
+        if aig.evaluate(cur, [root], nodes=nodes)[0]:
+            continue
+        cur[lbl] = 1
+        if sat is None:
+            cnf = cnf_from_aig(aig, root)
+            sat = cnf, CdclSolver(cnf.num_vars, cnf.clauses)
+        cnf, solver = sat
+        var_of = cnf.input_vars
+        prefix = [var_of[l] if cur[l] else -var_of[l] for l in labels[:k]]
+        status, m = solver.solve(prefix + [-var_of[lbl]], budget)
+        stats.canon_sat_calls += 1
+        if status == "unknown":
+            stats.trace_canonical = "budget"
+            return cur
         if status == "sat":
-            cur = {l: int(m[v]) for l, v in cnf.input_vars.items()}
-            fixed.append((-var,))
-        else:
-            fixed.append((var,))
+            cur = {l: int(m[v]) for l, v in var_of.items()}
+    stats.trace_canonical = "yes"
     return cur
 
 
-def _check_root(miter: Miter, root: int, stats: VerdictStats, max_conflicts, max_seconds, seed):
-    aig = miter.aig
+def _decide_root(aig: Aig, root: int, stats: VerdictStats, budget: Budget, seed):
+    """Decide one miter root: (equivalent, a distinguishing model or None,
+    the main solve's (cnf, solver) pair when that solve found the model)."""
     if root == FALSE:
         stats.method = "structural"
-        return Verdict(True, None, stats)
+        return True, None, None
     if root == TRUE:
         stats.method = "structural"
-        return Verdict(False, extract_trace(miter, {}), stats)
+        return False, {}, None
 
     ins, _ = aig.cone([root])
     labels = sorted((aig.label(i) for i in ins), key=_label_key)
     rng = random.Random(seed)
     mask = (1 << _SIM_WIDTH) - 1
-    model = None
     for _ in range(_SIM_ROUNDS):
         vals = {lbl: rng.getrandbits(_SIM_WIDTH) for lbl in labels}
         (res,) = aig.evaluate(vals, [root], mask=mask)
         if res:
             bit = (res & -res).bit_length() - 1
-            model = {lbl: (vals[lbl] >> bit) & 1 for lbl in labels}
             stats.method = "simulation"
-            break
-    if model is None:
-        cnf = cnf_from_aig(aig, root)
-        stats.cnf_vars = cnf.num_vars
-        stats.cnf_clauses = len(cnf.clauses)
-        solver = CdclSolver(cnf.num_vars, cnf.clauses, max_conflicts, max_seconds)
-        status, m = solver.solve()
-        stats.method = "sat"
-        stats.decisions = solver.stats.decisions
-        stats.conflicts = solver.stats.conflicts
-        stats.propagations = solver.stats.propagations
-        if status == "unknown":
-            return Verdict(None, None, stats)
-        if status == "unsat":
-            return Verdict(True, None, stats)
-        model = {lbl: int(m[var]) for lbl, var in cnf.input_vars.items()}
-    model = _lex_min_model(aig, root, model)
-    return Verdict(False, extract_trace(miter, model), stats)
+            return False, {lbl: (vals[lbl] >> bit) & 1 for lbl in labels}, None
+
+    cnf = cnf_from_aig(aig, root)
+    stats.cnf_vars = cnf.num_vars
+    stats.cnf_clauses = len(cnf.clauses)
+    solver = CdclSolver(cnf.num_vars, cnf.clauses)
+    status, m = solver.solve(budget=budget)
+    stats.method = "sat"
+    stats.decisions = solver.stats.decisions
+    stats.conflicts = solver.stats.conflicts
+    stats.propagations = solver.stats.propagations
+    if status == "unknown":
+        return None, None, None
+    if status == "unsat":
+        return True, None, None
+    return False, {lbl: int(m[var]) for lbl, var in cnf.input_vars.items()}, (cnf, solver)
 
 
 def check_equivalence(
@@ -187,36 +212,44 @@ def check_equivalence(
     seed: int = 0,
     per_output: bool = False,
 ) -> Verdict:
-    stats = VerdictStats(aig_nodes=len(miter.aig.nodes))
-    if not per_output:
-        return _check_root(miter, miter.root, stats, max_conflicts, max_seconds, seed)
+    """Decide the miter, or each output's part of it with `per_output`.
 
+    The limits bound the whole decide phase: all main solves and the
+    canonicalization of the trace.
+    """
+    aig = miter.aig
+    budget = Budget.start(max_conflicts, max_seconds)
+    stats = VerdictStats(aig_nodes=len(aig.nodes))
+    if per_output:
+        roots = {po: miter.outputs[po][2] for po in miter.golden.primary_outputs}
+    else:
+        roots = {None: miter.root}
     per: dict[str, bool | None] = {}
-    first_bad: Verdict | None = None
-    for po in miter.golden.primary_outputs:
-        sub = _check_root(
-            miter,
-            miter.outputs[po][2],
-            VerdictStats(aig_nodes=len(miter.aig.nodes)),
-            max_conflicts,
-            max_seconds,
-            seed,
-        )
-        per[po] = sub.equivalent
-        stats.decisions += sub.stats.decisions
-        stats.conflicts += sub.stats.conflicts
-        stats.cnf_vars = max(stats.cnf_vars, sub.stats.cnf_vars)
-        stats.cnf_clauses = max(stats.cnf_clauses, sub.stats.cnf_clauses)
-        if first_bad is None and sub.equivalent is False:
-            first_bad = sub
-    stats.method = "per-output"
-    if first_bad is not None:
-        verdict = Verdict(False, first_bad.trace, stats)
+    witness = None
+    for po, root in roots.items():
+        sub = VerdictStats()
+        equivalent, model, sat = _decide_root(aig, root, sub, budget, seed)
+        per[po] = equivalent
+        stats.method = sub.method
+        stats.decisions += sub.decisions
+        stats.conflicts += sub.conflicts
+        stats.propagations += sub.propagations
+        stats.cnf_vars = max(stats.cnf_vars, sub.cnf_vars)
+        stats.cnf_clauses = max(stats.cnf_clauses, sub.cnf_clauses)
+        if witness is None and equivalent is False:
+            witness = root, model, sat
+
+    if witness is not None:
+        root, model, sat = witness
+        model = _lex_min_model(aig, root, model, stats, budget, sat)
+        verdict = Verdict(False, extract_trace(miter, model), stats)
     elif any(v is None for v in per.values()):
         verdict = Verdict(None, None, stats)
     else:
         verdict = Verdict(True, None, stats)
-    verdict.per_output = per
+    if per_output:
+        stats.method = "per-output"
+        verdict.per_output = per
     return verdict
 
 

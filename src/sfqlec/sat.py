@@ -1,8 +1,18 @@
-"""Tseitin encoding and a small CDCL solver.
+"""Tseitin encoding and a small incremental CDCL solver.
 
 The solver is deliberately deterministic: decisions break activity ties by
 variable index, phases start at False, and there are no restarts or
-randomized heuristics, so a given CNF always produces the same model.
+randomized heuristics, so a given CNF and call sequence always produce the
+same models.
+
+It is incremental in the MiniSat style (Eén & Sörensson, "An Extensible
+SAT-solver", SAT 2003): `solve(assumptions)` decides the assumption
+literals first, one decision level each, and answers "unsat" for that call
+alone when one of them is forced false.  Every call returns at decision
+level 0, and learned clauses are derived from the clauses only, never from
+the assumptions, so learned clauses, activities and saved phases carry over
+to the next call.  A `Budget` bounds the conflicts and wall-clock time of a
+whole sequence of calls, across solvers.
 """
 
 import time
@@ -66,6 +76,25 @@ def to_dimacs(cnf: Cnf) -> str:
 
 
 @dataclass
+class Budget:
+    """Conflicts and wall-clock time shared by a sequence of solve calls."""
+
+    max_conflicts: int | None = None
+    deadline: float | None = None  # a time.monotonic() instant
+    conflicts: int = 0  # spent so far
+
+    @classmethod
+    def start(cls, max_conflicts=None, max_seconds=None, conflicts=0):
+        deadline = None if max_seconds is None else time.monotonic() + max_seconds
+        return cls(max_conflicts, deadline, conflicts)
+
+    def exhausted(self) -> bool:
+        if self.max_conflicts is not None and self.conflicts >= self.max_conflicts:
+            return True
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+
+@dataclass
 class SolverStats:
     decisions: int = 0
     conflicts: int = 0
@@ -77,7 +106,9 @@ class CdclSolver:
     """Conflict-driven clause learning over two watched literals.
 
     1-UIP learning, additive activity bumps with periodic halving, phase
-    saving.  `max_conflicts`/`max_seconds` turn exhaustion into "unknown".
+    saving.  `max_conflicts` (over the solver's lifetime) and `max_seconds`
+    (per call) turn exhaustion into "unknown" for calls given no `Budget`.
+    `stats` accumulates over all calls.
     """
 
     def __init__(self, num_vars: int, clauses, max_conflicts=None, max_seconds=None):
@@ -225,26 +256,39 @@ class CdclSolver:
                 best, best_act = v, self.activity[v]
         return best
 
-    def solve(self):
-        """Returns ("sat", model) / ("unsat", None) / ("unknown", None)."""
+    def solve(self, assumptions=(), budget: Budget | None = None):
+        """Returns ("sat", model) / ("unsat", None) / ("unknown", None).
+
+        "unsat" under assumptions means no model extends them; the solver
+        stays usable.  A call given an exhausted `budget` returns "unknown"
+        at once; without one, the constructor's limits apply.
+        """
         if not self.ok:
             return "unsat", None
-        deadline = None if self.max_seconds is None else time.monotonic() + self.max_seconds
+        if budget is None:
+            budget = Budget.start(self.max_conflicts, self.max_seconds, self.stats.conflicts)
+        elif budget.exhausted():
+            return "unknown", None
+        result = self._search(list(assumptions), budget)
+        if self.trail_lim:
+            self._backtrack(0)
+        return result
+
+    def _search(self, assumptions: list[int], budget: Budget):
         while True:
             confl = self._propagate()
             if confl is not None:
                 self.stats.conflicts += 1
+                budget.conflicts += 1
                 if not self.trail_lim:
+                    self.ok = False
                     return "unsat", None
-                if self.max_conflicts is not None and self.stats.conflicts >= self.max_conflicts:
-                    return "unknown", None
-                if deadline is not None and time.monotonic() > deadline:
+                if budget.exhausted():
                     return "unknown", None
                 learnt, lvl = self._analyze(confl)
                 self._backtrack(lvl)
                 if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], None):
-                        return "unsat", None
+                    self._enqueue(learnt[0], None)
                 else:
                     ci = len(self.clauses)
                     self.clauses.append(learnt)
@@ -254,6 +298,12 @@ class CdclSolver:
                 self.stats.learned += 1
                 if self.stats.conflicts % 256 == 0:
                     self.activity = [a >> 1 for a in self.activity]
+            elif len(self.trail_lim) < len(assumptions):
+                lit = assumptions[len(self.trail_lim)]
+                if self._val(lit) == -1:
+                    return "unsat", None
+                self.trail_lim.append(len(self.trail))  # a level even when already true
+                self._enqueue(lit, None)
             else:
                 v = self._decide()
                 if v == 0:

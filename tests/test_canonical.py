@@ -1,0 +1,204 @@
+"""Trace canonicalization: lexicographic minimality, one budget for the
+whole decide phase, and the report lines that say how a trace was reached."""
+
+import itertools
+import random
+
+import pytest
+
+from circuits import LATE_D_BENCH, LATE_D_GOLDEN_BENCH, SPLIT_RECONVERGE_BENCH
+from gen import kogge_stone_adder, mutate_comb, random_comb, random_pipeline, ripple_adder, sfqify
+from sfqlec import (
+    Gate,
+    Netlist,
+    build_mcid,
+    build_miter,
+    builtin_profile,
+    check_equivalence,
+    extract_trace,
+    inject,
+    match_inputs,
+    replay_trace,
+)
+from sfqlec.errors import SfqlecError
+from sfqlec import miter as miter_module
+from sfqlec.cli import main
+from sfqlec.miter import VerdictStats, _lex_min_model
+from sfqlec.netlist import get_kind
+from sfqlec.sat import Budget, CdclSolver
+
+RSFQ = builtin_profile("rsfq")
+
+
+def make_miter(impl, golden):
+    mcid = build_mcid(impl, RSFQ)
+    return build_miter(mcid, golden, match_inputs(mcid, list(golden.primary_inputs)))
+
+
+def as_wires(pipe: Netlist) -> Netlist:
+    """The pipeline's logic with its DFFs and splitters read as plain wires."""
+    wire = get_kind("BUF")
+    gates = tuple(
+        Gate(g.id, wire, g.inputs, g.output) if g.kind.name in ("DFF", "SPLIT") else g
+        for g in pipe.gates
+    )
+    return Netlist(pipe.name + "_wires", pipe.primary_inputs, pipe.primary_outputs, gates)
+
+
+def satisfying_models(miter):
+    """Every assignment to the root's cone inputs that sets the root, in
+    lexicographic order: inputs by (name, step), 0 before 1."""
+    ins, _ = miter.aig.cone([miter.root])
+    labels = sorted((miter.aig.label(i) for i in ins), key=lambda s: (s.net, s.step))
+    for bits in itertools.product((0, 1), repeat=len(labels)):
+        model = dict(zip(labels, bits))
+        if miter.aig.evaluate(model, [miter.root])[0]:
+            yield model
+
+
+def random_inequivalent_miters(count):
+    """(seed, miter) pairs with 1..10 cone inputs and a distinguishing input."""
+    seed = 0
+    while count:
+        seed += 1
+        rng = random.Random(seed)
+        if seed % 2:
+            comb = random_comb(rng, n_pis=rng.randint(3, 9), n_gates=rng.randint(4, 16))
+            impl, golden = sfqify(comb), mutate_comb(rng, comb)
+        else:
+            impl = random_pipeline(rng, n_pis=rng.randint(2, 5), n_gates=rng.randint(6, 18))
+            golden = as_wires(impl)
+            if rng.random() < 0.5:
+                golden = mutate_comb(rng, golden)
+        try:
+            miter = make_miter(impl, golden)
+        except SfqlecError:  # a spec input the pipeline never samples
+            continue
+        n_in = len(miter.aig.cone([miter.root])[0])
+        if 0 < n_in <= 10 and next(satisfying_models(miter), None) is not None:
+            count -= 1
+            yield seed, miter
+
+
+def test_trace_is_the_brute_force_lex_min(monkeypatch):
+    for seed, miter in random_inequivalent_miters(60):
+        models = list(satisfying_models(miter))
+        want = extract_trace(miter, models[0])
+        verdict = check_equivalence(miter, seed=seed)
+        assert verdict.equivalent is False, seed
+        assert verdict.trace == want, seed
+        assert verdict.stats.trace_canonical == "yes", seed
+        # from the worst start, with no solver handed over
+        start = _lex_min_model(miter.aig, miter.root, models[-1], VerdictStats(), Budget())
+        assert start == models[0], seed
+        # a witness found by the main solve is canonicalized on its solver
+        with monkeypatch.context() as m:
+            m.setattr(miter_module, "_SIM_ROUNDS", 0)
+            by_sat = check_equivalence(miter, seed=seed)
+        assert by_sat.stats.method == "sat", seed
+        assert by_sat.trace == want, seed
+
+
+# ks16 with `inject swap-gate seed=0` (s14 XOR2->OR2): simulation finds a
+# witness at once, and canonicalizing it takes 17 SAT calls and ~90 conflicts
+@pytest.fixture(scope="module")
+def faulted_ks16():
+    impl, _ = inject(sfqify(kogge_stone_adder(16)), "swap-gate", seed=0)
+    return impl, ripple_adder(16)
+
+
+@pytest.fixture()
+def conflict_log(monkeypatch):
+    """Conflicts of every solve call, in call order."""
+    log = []
+    solve = CdclSolver.solve
+
+    def counted(self, *args, **kwargs):
+        before = self.stats.conflicts
+        result = solve(self, *args, **kwargs)
+        log.append(self.stats.conflicts - before)
+        return result
+
+    monkeypatch.setattr(CdclSolver, "solve", counted)
+    return log
+
+
+def test_conflict_budget_bounds_canonicalization(faulted_ks16, conflict_log):
+    impl, golden = faulted_ks16
+    miter = make_miter(impl, golden)
+    full = check_equivalence(miter)
+    spent = sum(conflict_log)
+    assert full.stats.trace_canonical == "yes"
+    assert full.stats.canon_sat_calls == len(conflict_log) > 1
+    assert spent > 10
+    for k in (0, 1, 2, 5, spent // 2, spent - 1, spent, spent + 1000):
+        conflict_log.clear()
+        verdict = check_equivalence(miter, max_conflicts=k)
+        assert sum(conflict_log) <= k + 1, k
+        assert verdict.equivalent is False, k
+        assert replay_trace(impl, golden, verdict.trace, RSFQ), k
+        if k > spent:
+            assert verdict.stats.trace_canonical == "yes", k
+            assert verdict.trace == full.trace, k
+        else:
+            assert verdict.stats.trace_canonical == "budget", k
+
+
+def test_conflict_budget_spans_all_outputs(conflict_log):
+    miter = make_miter(sfqify(kogge_stone_adder(8)), ripple_adder(8))
+    for k in (1, 7, 40):
+        conflict_log.clear()
+        verdict = check_equivalence(miter, max_conflicts=k, per_output=True)
+        assert sum(conflict_log) <= k + 1, k
+        assert None in verdict.per_output.values(), k
+        assert verdict.equivalent is None and verdict.trace is None, k
+
+
+def test_time_budget_keeps_a_valid_trace(faulted_ks16):
+    impl, golden = faulted_ks16
+    verdict = check_equivalence(make_miter(impl, golden), max_seconds=0.0)
+    assert verdict.equivalent is False
+    assert verdict.stats.trace_canonical == "budget"
+    assert verdict.stats.canon_sat_calls <= 1
+    assert replay_trace(impl, golden, verdict.trace, RSFQ)
+
+
+def test_oversized_cone_is_reported_as_capped(faulted_ks16, monkeypatch):
+    impl, golden = faulted_ks16
+    monkeypatch.setattr(miter_module, "_CANON_CAP", 0)
+    verdict = check_equivalence(make_miter(impl, golden))
+    assert verdict.equivalent is False
+    assert verdict.stats.trace_canonical == "capped"
+    assert verdict.stats.canon_sat_calls == 0
+    assert replay_trace(impl, golden, verdict.trace, RSFQ)
+
+
+def verify_lines(tmp_path, capsys, impl_text, golden_text, *flags):
+    (tmp_path / "impl.bench").write_text(impl_text)
+    (tmp_path / "golden.bench").write_text(golden_text)
+    code = main(["verify", str(tmp_path / "impl.bench"), str(tmp_path / "golden.bench"), *flags])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_report_says_how_the_trace_was_reached(tmp_path, capsys):
+    code, lines = verify_lines(tmp_path, capsys, LATE_D_BENCH, LATE_D_GOLDEN_BENCH)
+    assert code == 1
+    at = lines.index("conflicts 0")
+    assert lines[at + 1 : at + 5] == [
+        "propagations 0",
+        "canon-sat-calls 3",
+        "trace-canonical yes",
+        "CYCLE 0: a=0 b=1 c=1 d=0",
+    ]
+    code, lines = verify_lines(tmp_path, capsys, LATE_D_BENCH, LATE_D_GOLDEN_BENCH, "--arrivals", "d:1")
+    assert code == 0
+    assert lines[-3:] == ["conflicts 2", "propagations 11", "canon-sat-calls 0"]
+
+
+def test_per_output_counts_propagations(tmp_path, capsys):
+    golden = "INPUT(p)\nINPUT(q)\nOUTPUT(a2)\na2 = BUF(p)\n"
+    _, plain = verify_lines(tmp_path, capsys, SPLIT_RECONVERGE_BENCH, golden)
+    _, per = verify_lines(tmp_path, capsys, SPLIT_RECONVERGE_BENCH, golden, "--per-output")
+    props = [l for l in plain if l.startswith("propagations ")]
+    assert props != ["propagations 0"]
+    assert [l for l in per if l.startswith("propagations ")] == props
