@@ -57,23 +57,17 @@ class Aig:
     def label(self, node_index: int):
         return self.nodes[node_index][1]
 
-    def evaluate(self, values: dict, roots: list[int], mask: int = 1, nodes=None) -> list[int]:
-        """Bitwise-parallel evaluation; values may carry any int width.
-
-        `nodes`, ascending node indices closed under fanin (such as the
-        roots' `cone`), limits the work to those nodes.
-        """
-        val = [0] * len(self.nodes)
-        val[0] = mask
-        for i in range(1, len(self.nodes)) if nodes is None else nodes:
-            node = self.nodes[i]
+    def evaluate(self, values: dict, roots: list[int], mask: int = 1) -> list[int]:
+        """Bitwise-parallel evaluation; values may carry any int width."""
+        val = [mask]
+        for node in self.nodes[1:]:
             if node[0] == "in":
-                val[i] = values.get(node[1], 0) & mask
+                val.append(values.get(node[1], 0) & mask)
             else:
                 a, b = node[1], node[2]
                 va = val[a >> 1] ^ (mask if a & 1 else 0)
                 vb = val[b >> 1] ^ (mask if b & 1 else 0)
-                val[i] = va & vb
+                val.append(va & vb)
         return [val[r >> 1] ^ (mask if r & 1 else 0) for r in roots]
 
     def cone(self, roots: list[int]) -> tuple[list[int], list[int]]:

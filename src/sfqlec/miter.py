@@ -10,10 +10,10 @@ Counterexample models are canonicalized to the lexicographically smallest
 satisfying assignment (inputs ordered by name, then step, preferring 0), so
 witnesses do not depend on solver internals or on which pass found them.
 The greedy pass walks the cone inputs in that order.  A bit already 0 stays
-0; a set bit is first flipped to 0 and the root re-evaluated over its cone,
-and only when that loses the disagreement does one incremental solver per
-root (the main solve's, when there was one) answer whether some assignment
-extends the fixed prefix with a 0, under assumptions.
+0; a set bit is first flipped to 0 and the root re-evaluated, and only when
+that loses the disagreement does one incremental solver per root (the main
+solve's, when there was one) answer whether some assignment extends the
+fixed prefix with a 0, under assumptions.
 
 One `Budget` of conflicts and seconds covers the main solve of every root
 and every canonicalization call.  When it runs out during canonicalization
@@ -140,14 +140,13 @@ def _lex_min_model(
     if len(ins) * max(1, len(ands)) > _CANON_CAP:
         stats.trace_canonical = "capped"
         return model
-    nodes = sorted(ins + ands)
     labels = sorted((aig.label(i) for i in ins), key=_label_key)
     cur = {lbl: model.get(lbl, 0) for lbl in labels}
     for k, lbl in enumerate(labels):
         if not cur[lbl]:
             continue
         cur[lbl] = 0
-        if aig.evaluate(cur, [root], nodes=nodes)[0]:
+        if aig.evaluate(cur, [root])[0]:
             continue
         cur[lbl] = 1
         if sat is None:

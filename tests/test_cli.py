@@ -199,6 +199,30 @@ def test_verify_conflict_budget_gives_exit_4(work, capsys):
     assert "verdict unknown" in out
 
 
+def test_verify_zero_conflict_budget_is_exhausted_before_any_solve(work, capsys):
+    # The decide-phase budget is checked before each solve call, so a budget
+    # of 0 conflicts starts no search, even one that would need no conflict.
+    code, out, _ = run(
+        capsys,
+        "verify", work / "reconv.bench", work / "reconv_reduced.bench",
+        "--max-conflicts", "0",
+    )
+    assert code == 4
+    lines = out.splitlines()
+    assert "verdict unknown" in lines
+    assert "decisions 0" in lines and "propagations 0" in lines
+    # A verdict found by simulation stands; its trace stays uncanonicalized.
+    code, out, _ = run(
+        capsys,
+        "verify", work / "late_d.bench", work / "late_d_golden.bench",
+        "--max-conflicts", "0",
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert "method simulation" in lines
+    assert "trace-canonical budget" in lines
+
+
 def test_verify_per_output_lines(work, capsys):
     code, out, _ = run(
         capsys,
