@@ -9,7 +9,7 @@ one common depth across the primary outputs.
 
 from dataclasses import dataclass, field
 
-from .netlist import Netlist, topological_order
+from .netlist import Netlist
 from .profiles import TechnologyProfile
 
 FANOUT_EXCEEDED = "FanoutExceeded"
@@ -107,10 +107,9 @@ def base_distances(
     out: dict[str, BaseDistanceSet] = {
         pi: BaseDistanceSet(pi, (0,)) for pi in netlist.primary_inputs
     }
-    for gid in topological_order(netlist):
-        g = netlist.gates_by_id[gid]
+    for g in netlist.order:
         if visit_counter is not None:
-            visit_counter[gid] = visit_counter.get(gid, 0) + 1
+            visit_counter[g.id] = visit_counter.get(g.id, 0) + 1
         step = 1 if profile.is_clocked(g.kind.name) else 0
         merged: set[int] = set()
         truncated = False
@@ -142,8 +141,7 @@ def check_path_balance(
         return report
     dists = base_distances(netlist, profile, visit_counter=visit_counter)
     if not po_only:
-        for gid in topological_order(netlist):
-            g = netlist.gates_by_id[gid]
+        for g in netlist.order:
             fanins = [dists[net] for net in g.inputs]
             bad = next((f for f in fanins if not f.is_singleton), None)
             if bad is not None:

@@ -31,8 +31,11 @@ EXIT_UNDECIDED = 4
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SfqlecError(f"cannot read {path!r}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:

@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .netlist import Netlist, logic_levels
-from .profiles import TechnologyProfile
-
-_DEFAULT_NON_CLOCKED = frozenset({"SPLIT"})
+from .profiles import RSFQ, TechnologyProfile
 
 
 @dataclass(frozen=True, order=True)
@@ -73,22 +71,13 @@ class MCIDCircuit:
         return "\n".join(lines) + "\n"
 
 
-def _non_clocked(profile: TechnologyProfile | None) -> frozenset[str]:
-    if profile is None:
-        return _DEFAULT_NON_CLOCKED
-    return profile.non_clocked_kinds
-
-
-def build_mcid(netlist: Netlist, profile: TechnologyProfile | None = None) -> MCIDCircuit:
+def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircuit:
     """Unroll a netlist into its MCID circuit, observing all POs at step 0.
 
     Copies are shared: each (net, step) pair is expanded at most once, so the
     result is a DAG whose size is bounded by gates x distinct steps.
     """
-    non_clocked = _non_clocked(profile)
-    clocked_count = sum(1 for g in netlist.gates if g.kind.name not in non_clocked)
-    floor = -(clocked_count + 1)  # any deeper would mean a clocked cycle
-
+    non_clocked = profile.non_clocked_kinds
     memo: dict[tuple[str, int], TimedSignal] = {}
     gates: list[MCIDGate] = []
     pins: list[TimedSignal] = []
@@ -101,8 +90,6 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile | None = None) -> MC
             key = (net, t)
             if key in memo:
                 continue
-            if t < floor:
-                raise RuntimeError(f"unroll depth exceeded at {net}@t{t}")
             if netlist.is_pi(net):
                 sig = TimedSignal(net, t)
                 memo[key] = sig
@@ -145,7 +132,7 @@ def dependency_window(mcid: MCIDCircuit) -> dict[str, tuple[int, ...]]:
 def mcid_size_upper_bound(
     netlist: Netlist,
     removed_dffs: list[str],
-    profile: TechnologyProfile | None = None,
+    profile: TechnologyProfile = RSFQ,
 ) -> int:
     """Bound on gate duplication caused by removing the given storage gates.
 

@@ -29,7 +29,8 @@ from .aig import Aig, FALSE, TRUE
 from .errors import SfqlecError
 from .itcl import InputMatching, match_inputs
 from .mcid import MCIDCircuit
-from .netlist import Netlist, topological_order
+from .netlist import Netlist
+from .profiles import KINDS
 from .sat import Budget, CdclSolver, cnf_from_aig, _label_key
 from .trace import TimedTrace
 
@@ -73,26 +74,6 @@ class Verdict:
     per_output: dict[str, bool | None] | None = None
 
 
-def _gate_edge(aig: Aig, func: str, ins: list[int]) -> int:
-    if func in ("BUF", "DFF", "SPLIT"):
-        return ins[0]
-    if func == "INV":
-        return ins[0] ^ 1
-    if func == "AND2":
-        return aig.and_(ins[0], ins[1])
-    if func == "NAND2":
-        return aig.and_(ins[0], ins[1]) ^ 1
-    if func == "OR2":
-        return aig.or_(ins[0], ins[1])
-    if func == "NOR2":
-        return aig.or_(ins[0], ins[1]) ^ 1
-    if func == "XOR2":
-        return aig.xor_(ins[0], ins[1])
-    if func == "XNOR2":
-        return aig.xor_(ins[0], ins[1]) ^ 1
-    raise MiterError(f"no AIG construction for {func}")
-
-
 def build_miter(
     mcid: MCIDCircuit, golden: Netlist, matching: InputMatching | None = None
 ) -> Miter:
@@ -112,11 +93,10 @@ def build_miter(
     aig = Aig()
     edge = {pin: aig.input_(pin) for pin in mcid.timed_inputs}
     for g in mcid.gates:
-        edge[g.output] = _gate_edge(aig, g.func, [edge[i] for i in g.inputs])
+        edge[g.output] = KINDS[g.func].meaning(aig, *[edge[i] for i in g.inputs])
     gold = {pi: edge[matching.matched[pi]] for pi in golden.primary_inputs}
-    for gid in topological_order(golden):
-        g = golden.gates_by_id[gid]
-        gold[g.output] = _gate_edge(aig, g.kind.name, [gold[i] for i in g.inputs])
+    for g in golden.order:
+        gold[g.output] = g.kind.meaning(aig, *[gold[i] for i in g.inputs])
 
     outputs: dict[str, tuple[int, int, int]] = {}
     root = FALSE

@@ -1,9 +1,9 @@
-"""Gate-level netlist core: gate library, bench-format parser/writer, ordering.
+"""Gate-level netlist core: bench-format parser/writer, ordering, depth.
 
 A netlist is a DAG of single-output gates over named nets.  Clocking is a
 property of the gate kind (there are no clock nets): every clocked gate is
-one pipeline stage deep.  Which kinds count as clocked is ultimately decided
-by a technology profile; the flags stored here are the defaults.
+one pipeline stage deep.  Which kinds count as clocked is decided by the
+technology profile alone.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +11,7 @@ import heapq
 import re
 
 from .errors import SfqlecError
+from .profiles import KINDS, RSFQ, Bits, GateKind, TechnologyProfile
 
 
 class NetlistError(SfqlecError):
@@ -25,34 +26,6 @@ class BenchParseError(NetlistError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class GateKind:
-    name: str
-    arity: int
-    clocked: bool
-
-
-# The fixed cell library.  SPLIT is the only kind that is non-clocked by
-# default; profiles may widen that set (e.g. CMOS) or shrink it (e.g. AQFP).
-KINDS: dict[str, GateKind] = {
-    k.name: k
-    for k in (
-        GateKind("AND2", 2, True),
-        GateKind("OR2", 2, True),
-        GateKind("XOR2", 2, True),
-        GateKind("NAND2", 2, True),
-        GateKind("NOR2", 2, True),
-        GateKind("XNOR2", 2, True),
-        GateKind("INV", 1, True),
-        GateKind("BUF", 1, True),
-        GateKind("DFF", 1, True),
-        GateKind("SPLIT", 1, False),
-    )
-}
-
-DEFAULT_NON_CLOCKED = frozenset({"SPLIT"})
-
-
 def get_kind(name: str) -> GateKind:
     kind = KINDS.get(name.upper())
     if kind is None:
@@ -61,29 +34,9 @@ def get_kind(name: str) -> GateKind:
 
 
 def evaluate_kind(name: str, args: list[int], mask: int = 1) -> int:
-    """Bitwise evaluation of one gate function.
-
-    Works on plain bits (mask=1) and on wide integers used as parallel
-    bit-vectors (mask = all-ones of the vector width).  DFF/SPLIT/BUF are
-    identities here; any time shift is handled by the caller.
-    """
-    if name == "AND2":
-        return args[0] & args[1]
-    if name == "OR2":
-        return args[0] | args[1]
-    if name == "XOR2":
-        return args[0] ^ args[1]
-    if name == "NAND2":
-        return mask ^ (args[0] & args[1])
-    if name == "NOR2":
-        return mask ^ (args[0] | args[1])
-    if name == "XNOR2":
-        return mask ^ args[0] ^ args[1]
-    if name == "INV":
-        return mask ^ args[0]
-    if name in ("BUF", "DFF", "SPLIT"):
-        return args[0]
-    raise NetlistError(f"unknown gate kind {name!r}")
+    """Bitwise evaluation of one gate function on `mask`-wide bit-vectors
+    (mask=1 for plain bits).  DFF/SPLIT/BUF are identities here."""
+    return get_kind(name).meaning(Bits(mask), *args)
 
 
 @dataclass(frozen=True)
@@ -106,8 +59,9 @@ _GATE_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z0-9_]+)\s*\((.*)\)$")
 class Netlist:
     """Immutable-by-convention DAG of gates.
 
-    Derived lookup maps are built once at construction.  Each net has at
-    most one driver; primary outputs must be gate-driven or primary inputs.
+    Derived lookup maps and the topological order are built once at
+    construction.  Each net has at most one driver; primary outputs must be
+    gate-driven or primary inputs.
     """
 
     name: str
@@ -116,11 +70,12 @@ class Netlist:
     gates: tuple[Gate, ...]
     driver_of: dict[str, Gate] = field(init=False, repr=False, compare=False)
     gates_by_id: dict[str, Gate] = field(init=False, repr=False, compare=False)
+    order: tuple[Gate, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.driver_of = {}
         self.gates_by_id = {}
-        pi_set = set(self.primary_inputs)
+        self._pis = pi_set = frozenset(self.primary_inputs)
         if len(pi_set) != len(self.primary_inputs):
             raise NetlistError("duplicate primary input declaration")
         if len(set(self.primary_outputs)) != len(self.primary_outputs):
@@ -145,15 +100,38 @@ class Netlist:
         for po in self.primary_outputs:
             if po not in pi_set and po not in self.driver_of:
                 raise NetlistError(f"primary output {po!r} is undriven")
-        # raises on cycles
-        topological_order(self)
+        self.order = self._kahn_order()
+
+    def _kahn_order(self) -> tuple[Gate, ...]:
+        """Kahn's algorithm over gates; deterministic, ties broken by gate id.
+        Raises on cycles."""
+        indegree: dict[str, int] = {}
+        consumers: dict[str, list[str]] = {}
+        for g in self.gates:
+            deps = 0
+            for net in g.inputs:
+                drv = self.driver_of.get(net)
+                if drv is not None:
+                    deps += 1
+                    consumers.setdefault(drv.id, []).append(g.id)
+            indegree[g.id] = deps
+        ready = [gid for gid, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[Gate] = []
+        while ready:
+            gid = heapq.heappop(ready)
+            order.append(self.gates_by_id[gid])
+            for nxt in consumers.get(gid, ()):
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    heapq.heappush(ready, nxt)
+        if len(order) != len(self.gates):
+            stuck = sorted(set(indegree) - {g.id for g in order})
+            raise NetlistError(f"cycle detected involving gate(s): {', '.join(stuck[:5])}")
+        return tuple(order)
 
     def is_pi(self, net: str) -> bool:
-        cached = getattr(self, "_pis", None)
-        if cached is None:
-            cached = set(self.primary_inputs)
-            self._pis = cached
-        return net in cached
+        return net in self._pis
 
 
 def parse_netlist(text: str, name: str = "netlist") -> Netlist:
@@ -215,65 +193,34 @@ def write_netlist(netlist: Netlist) -> str:
     """Emit bench text: INPUTs, OUTPUTs, then gates in topological order."""
     lines = [f"INPUT({n})" for n in netlist.primary_inputs]
     lines += [f"OUTPUT({n})" for n in netlist.primary_outputs]
-    for gid in topological_order(netlist):
-        g = netlist.gates_by_id[gid]
+    for g in netlist.order:
         lines.append(f"{g.output} = {g.kind.name}({', '.join(g.inputs)})")
     return "\n".join(lines) + "\n"
 
 
 def topological_order(netlist: Netlist) -> list[str]:
-    """Kahn's algorithm over gates; deterministic, ties broken by gate id."""
-    indegree: dict[str, int] = {}
-    consumers: dict[str, list[str]] = {}
-    for g in netlist.gates:
-        deps = 0
-        for net in g.inputs:
-            drv = netlist.driver_of.get(net)
-            if drv is not None:
-                deps += 1
-                consumers.setdefault(drv.id, []).append(g.id)
-        indegree[g.id] = deps
-    ready = [gid for gid, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        gid = heapq.heappop(ready)
-        order.append(gid)
-        for nxt in consumers.get(gid, ()):
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != len(netlist.gates):
-        stuck = sorted(set(indegree) - set(order))
-        raise NetlistError(f"cycle detected involving gate(s): {', '.join(stuck[:5])}")
-    return order
+    """Gate ids in the netlist's topological order (ties broken by gate id)."""
+    return [g.id for g in netlist.order]
 
 
-def _non_clocked_set(profile) -> frozenset:
-    if profile is None:
-        return DEFAULT_NON_CLOCKED
-    return frozenset(profile.non_clocked_kinds)
-
-
-def logic_levels(netlist: Netlist, profile=None) -> dict[str, int]:
+def logic_levels(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> dict[str, int]:
     """Level of every net: max count of clocked gates on any PI-to-net path."""
-    non_clocked = _non_clocked_set(profile)
+    non_clocked = profile.non_clocked_kinds
     levels = {pi: 0 for pi in netlist.primary_inputs}
-    for gid in topological_order(netlist):
-        g = netlist.gates_by_id[gid]
+    for g in netlist.order:
         step = 0 if g.kind.name in non_clocked else 1
         levels[g.output] = max(levels[net] for net in g.inputs) + step
     return levels
 
 
-def logic_level(netlist: Netlist, net: str, profile=None) -> int:
+def logic_level(netlist: Netlist, net: str, profile: TechnologyProfile = RSFQ) -> int:
     levels = logic_levels(netlist, profile)
     if net not in levels:
         raise NetlistError(f"unknown net {net!r}")
     return levels[net]
 
 
-def circuit_depth(netlist: Netlist, profile=None) -> int:
+def circuit_depth(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> int:
     """Maximum logic level over the primary outputs."""
     levels = logic_levels(netlist, profile)
     return max((levels[po] for po in netlist.primary_outputs), default=0)

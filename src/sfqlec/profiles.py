@@ -1,4 +1,10 @@
-"""Technology profiles: fanout limits, clockedness overrides, enabled checks.
+"""The cell library and technology profiles.
+
+Each gate kind carries its meaning, written once as a composition of
+`and_`/`or_`/`xor_`/`not_` over an algebra argument: an `Aig` builds the
+gate's and-inverter graph from it, a bit-vector algebra evaluates it.  A
+technology profile is the only place that says which kinds are clocked,
+along with fanout limits and the enabled checks.
 
 Built-ins:
   rsfq  - every gate clocked except SPLIT; fanout 1 per gate, 2 per splitter;
@@ -9,10 +15,53 @@ Built-ins:
           only DFF is clocked.
 """
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+import operator
 
 from .errors import SfqlecError
-from .netlist import KINDS
+
+
+@dataclass(frozen=True)
+class GateKind:
+    name: str
+    arity: int
+    meaning: Callable = field(repr=False)  # meaning(algebra, *fanins) -> output
+
+
+def _identity(alg, a):
+    return a
+
+
+# The fixed cell library.  DFF, SPLIT and BUF are identities here; their
+# time shift, if any, comes from the profile.
+KINDS: dict[str, GateKind] = {
+    k.name: k
+    for k in (
+        GateKind("AND2", 2, lambda alg, a, b: alg.and_(a, b)),
+        GateKind("OR2", 2, lambda alg, a, b: alg.or_(a, b)),
+        GateKind("XOR2", 2, lambda alg, a, b: alg.xor_(a, b)),
+        GateKind("NAND2", 2, lambda alg, a, b: alg.not_(alg.and_(a, b))),
+        GateKind("NOR2", 2, lambda alg, a, b: alg.not_(alg.or_(a, b))),
+        GateKind("XNOR2", 2, lambda alg, a, b: alg.not_(alg.xor_(a, b))),
+        GateKind("INV", 1, lambda alg, a: alg.not_(a)),
+        GateKind("BUF", 1, _identity),
+        GateKind("DFF", 1, _identity),
+        GateKind("SPLIT", 1, _identity),
+    )
+}
+
+
+class Bits:
+    """The gate algebra over ints used as `mask`-wide parallel bit-vectors."""
+
+    and_, or_, xor_ = operator.and_, operator.or_, operator.xor
+
+    def __init__(self, mask: int = 1):
+        self.mask = mask
+
+    def not_(self, a: int) -> int:
+        return self.mask ^ a
 
 
 class ProfileError(SfqlecError):
@@ -43,15 +92,17 @@ class TechnologyProfile:
 
 _UNLIMITED = 10**9
 
+RSFQ = TechnologyProfile(
+    name="rsfq",
+    default_fanout_limit=1,
+    splitter_fanout_limit=2,
+    non_clocked_kinds=frozenset({"SPLIT"}),
+    requires_path_balancing=True,
+    requires_fanout_check=True,
+)
+
 _BUILTINS = {
-    "rsfq": TechnologyProfile(
-        name="rsfq",
-        default_fanout_limit=1,
-        splitter_fanout_limit=2,
-        non_clocked_kinds=frozenset({"SPLIT"}),
-        requires_path_balancing=True,
-        requires_fanout_check=True,
-    ),
+    "rsfq": RSFQ,
     "aqfp": TechnologyProfile(
         name="aqfp",
         default_fanout_limit=1,
@@ -152,5 +203,5 @@ def resolve_profile(spec: str) -> TechnologyProfile:
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             return load_profile(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProfileError(f"cannot load profile {spec!r}: {exc}") from None

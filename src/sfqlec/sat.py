@@ -84,9 +84,9 @@ class Budget:
     conflicts: int = 0  # spent so far
 
     @classmethod
-    def start(cls, max_conflicts=None, max_seconds=None, conflicts=0):
+    def start(cls, max_conflicts=None, max_seconds=None):
         deadline = None if max_seconds is None else time.monotonic() + max_seconds
-        return cls(max_conflicts, deadline, conflicts)
+        return cls(max_conflicts, deadline)
 
     def exhausted(self) -> bool:
         if self.max_conflicts is not None and self.conflicts >= self.max_conflicts:
@@ -106,15 +106,11 @@ class CdclSolver:
     """Conflict-driven clause learning over two watched literals.
 
     1-UIP learning, additive activity bumps with periodic halving, phase
-    saving.  `max_conflicts` (over the solver's lifetime) and `max_seconds`
-    (per call) turn exhaustion into "unknown" for calls given no `Budget`.
-    `stats` accumulates over all calls.
+    saving.  `stats` accumulates over all calls.
     """
 
-    def __init__(self, num_vars: int, clauses, max_conflicts=None, max_seconds=None):
+    def __init__(self, num_vars: int, clauses):
         self.nv = num_vars
-        self.max_conflicts = max_conflicts
-        self.max_seconds = max_seconds
         self.stats = SolverStats()
         self.clauses: list[list[int]] = []
         self.watches: dict[int, list[int]] = {}
@@ -261,12 +257,12 @@ class CdclSolver:
 
         "unsat" under assumptions means no model extends them; the solver
         stays usable.  A call given an exhausted `budget` returns "unknown"
-        at once; without one, the constructor's limits apply.
+        at once; without one, the search is unlimited.
         """
         if not self.ok:
             return "unsat", None
         if budget is None:
-            budget = Budget.start(self.max_conflicts, self.max_seconds, self.stats.conflicts)
+            budget = Budget()
         elif budget.exhausted():
             return "unknown", None
         result = self._search(list(assumptions), budget)

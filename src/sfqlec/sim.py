@@ -1,9 +1,10 @@
 """Cycle-accurate simulation and a brute-force equivalence oracle.
 
-simulate() implements the synchronous recurrence directly: a clocked gate's
-output at cycle t+1 is its function applied to cycle-t inputs (all state
-starts at 0), a transparent gate settles within the cycle.  replay_trace()
-re-runs a counterexample trace against the netlist to confirm it is real.
+Both run one synchronous recurrence: a clocked gate's output at cycle t+1
+is its function applied to cycle-t inputs (all state starts at 0), a
+transparent gate settles within the cycle.  simulate() feeds it single-bit
+waves; replay_trace() re-runs a counterexample trace against the netlist to
+confirm it is real.
 
 exhaustive_equivalence() enumerates every assignment of the model's full
 input grid (one variable per primary input per window step) in one
@@ -15,11 +16,9 @@ from dataclasses import dataclass
 from .errors import SfqlecError
 from .itcl import ArrivalSchedule, apply_itcl, match_inputs
 from .mcid import build_mcid
-from .netlist import Netlist, circuit_depth, evaluate_kind, topological_order
-from .profiles import TechnologyProfile
+from .netlist import Netlist, circuit_depth
+from .profiles import RSFQ, Bits, TechnologyProfile
 from .trace import TimedTrace
-
-_DEFAULT_NON_CLOCKED = frozenset({"SPLIT"})
 
 
 class SimError(SfqlecError):
@@ -43,10 +42,24 @@ def format_wave(wave: dict[str, int], order) -> str:
     return " ".join(f"{pi}={wave.get(pi, 0)}" for pi in order)
 
 
+def _cycles(netlist: Netlist, waves, profile: TechnologyProfile, mask: int = 1):
+    """Yield every net's values for each input wave in turn, one per cycle."""
+    non_clocked = profile.non_clocked_kinds
+    alg = Bits(mask)
+    prev: dict[str, int] = {}
+    for wave in waves:
+        cur = {pi: wave.get(pi, 0) & mask for pi in netlist.primary_inputs}
+        for g in netlist.order:
+            src = cur if g.kind.name in non_clocked else prev
+            cur[g.output] = g.kind.meaning(alg, *[src.get(i, 0) for i in g.inputs])
+        yield cur
+        prev = cur
+
+
 def simulate(
     netlist: Netlist,
     waves: list[dict[str, int]],
-    profile: TechnologyProfile | None = None,
+    profile: TechnologyProfile = RSFQ,
     extra_cycles: int | None = None,
 ) -> list[dict[str, int]]:
     """Feed one wave per cycle (zeros afterwards) and record the outputs.
@@ -54,32 +67,23 @@ def simulate(
     Runs len(waves) + extra_cycles cycles; the default flushes the pipeline
     for circuit_depth further cycles so every wave reaches the outputs.
     """
-    non_clocked = _DEFAULT_NON_CLOCKED if profile is None else profile.non_clocked_kinds
     if extra_cycles is None:
         extra_cycles = circuit_depth(netlist, profile)
-    order = topological_order(netlist)
-    prev: dict[str, int] = {}
-    seen: list[dict[str, int]] = []
-    for t in range(len(waves) + extra_cycles):
-        wave = waves[t] if t < len(waves) else {}
-        cur = {pi: wave.get(pi, 0) & 1 for pi in netlist.primary_inputs}
-        for gid in order:
-            g = netlist.gates_by_id[gid]
-            src = cur if g.kind.name in non_clocked else prev
-            cur[g.output] = evaluate_kind(g.kind.name, [src.get(i, 0) for i in g.inputs])
-        seen.append({po: cur[po] for po in netlist.primary_outputs})
-        prev = cur
-    return seen
+    fed = [waves[t] if t < len(waves) else {} for t in range(len(waves) + extra_cycles)]
+    return [
+        {po: cur[po] for po in netlist.primary_outputs}
+        for cur in _cycles(netlist, fed, profile)
+    ]
 
 
 def evaluate_golden(netlist: Netlist, assignment: dict[str, int], mask: int = 1) -> dict[str, int]:
     """Evaluate a combinational specification netlist (storage is rejected)."""
+    alg = Bits(mask)
     values = {pi: assignment.get(pi, 0) & mask for pi in netlist.primary_inputs}
-    for gid in topological_order(netlist):
-        g = netlist.gates_by_id[gid]
+    for g in netlist.order:
         if g.kind.name == "DFF":
             raise SimError(f"specification netlist holds state (DFF {g.id})")
-        values[g.output] = evaluate_kind(g.kind.name, [values[i] for i in g.inputs], mask)
+        values[g.output] = g.kind.meaning(alg, *[values[i] for i in g.inputs])
     return {po: values[po] for po in netlist.primary_outputs}
 
 
@@ -87,7 +91,7 @@ def replay_trace(
     netlist: Netlist,
     golden: Netlist,
     trace: TimedTrace,
-    profile: TechnologyProfile | None = None,
+    profile: TechnologyProfile = RSFQ,
 ) -> bool:
     """True when both halves of the trace reproduce: the netlist really emits
     mcid_output at the observation cycle and the spec really emits
@@ -113,7 +117,7 @@ class ExhaustiveResult:
 def exhaustive_equivalence(
     netlist: Netlist,
     golden: Netlist,
-    profile: TechnologyProfile | None = None,
+    profile: TechnologyProfile = RSFQ,
     schedule: ArrivalSchedule | None = None,
     max_bits: int = 24,
 ) -> ExhaustiveResult:
@@ -144,19 +148,14 @@ def exhaustive_equivalence(
         h = 1 << j
         grid[cell] = (((1 << n) - 1) // ((1 << h) + 1)) << h
 
-    non_clocked = _DEFAULT_NON_CLOCKED if profile is None else profile.non_clocked_kinds
-    order = topological_order(netlist)
-    prev: dict[str, int] = {}
-    cur: dict[str, int] = {}
     # a shifted input's raw consumption at step s sees the external wave
     # that entered shift cycles earlier
-    for s in range(earliest, 1):
-        cur = {pi: grid.get((pi, s - shifts[pi]), 0) for pi in netlist.primary_inputs}
-        for gid in order:
-            g = netlist.gates_by_id[gid]
-            src = cur if g.kind.name in non_clocked else prev
-            cur[g.output] = evaluate_kind(g.kind.name, [src.get(i, 0) for i in g.inputs], mask)
-        prev = cur
+    waves = [
+        {pi: grid.get((pi, s - shifts[pi]), 0) for pi in netlist.primary_inputs}
+        for s in range(earliest, 1)
+    ]
+    for cur in _cycles(netlist, waves, profile, mask):
+        pass
 
     gold = evaluate_golden(
         golden,

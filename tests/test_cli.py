@@ -317,6 +317,26 @@ def test_bad_arrivals_are_a_config_error(work, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "bad.txt", "late_d_golden.bench"),
+        ("verify", "late_d.bench", "bad.txt"),
+        ("check-structure", "bad.txt"),
+        ("check-structure", "late_d.bench", "--profile", "bad.txt"),
+        ("simulate", "late_d.bench", "--waves", "bad.txt"),
+    ],
+    ids=["netlist", "golden", "check-structure", "profile", "waves"],
+)
+def test_non_utf8_input_is_a_config_error(work, capsys, argv):
+    (work / "bad.txt").write_bytes(b"INPUT(a)\n\xff\xfe\n")
+    args = [str(work / a) if "." in a else a for a in argv]
+    code, _, err = run(capsys, *args)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_exits_argparse_style(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -35,8 +35,8 @@ CANONICAL_LATE_D_TRACE = (
 )
 
 
-def make_miter(netlist, golden, schedule=None):
-    mcid = build_mcid(netlist, RSFQ)
+def make_miter(netlist, golden, schedule=None, profile=RSFQ):
+    mcid = build_mcid(netlist, profile)
     if schedule is not None:
         mcid = apply_itcl(mcid, schedule)
     matching = match_inputs(mcid, list(golden.primary_inputs))
@@ -141,17 +141,19 @@ def test_unknown_under_a_conflict_budget():
         assert verdict.equivalent is True
 
 
-def test_agrees_with_exhaustive_on_random_pipelines():
+@pytest.mark.parametrize("profile_name", ["rsfq", "aqfp", "cmos"])
+def test_agrees_with_exhaustive_on_random_pipelines(profile_name):
+    profile = builtin_profile(profile_name)
     checked = 0
     for seed in range(60):
         rng = random.Random(seed)
         comb = random_comb(rng, n_pis=rng.randint(2, 4), n_gates=rng.randint(2, 8))
         impl = sfqify(comb)
         golden = comb if rng.random() < 0.4 else mutate_comb(rng, comb)
-        want = exhaustive_equivalence(impl, golden, RSFQ)
-        verdict = check_equivalence(make_miter(impl, golden))
+        want = exhaustive_equivalence(impl, golden, profile)
+        verdict = check_equivalence(make_miter(impl, golden, profile=profile))
         assert verdict.equivalent == want.equivalent, seed
         if verdict.equivalent is False:
-            assert replay_trace(impl, golden, verdict.trace, RSFQ), seed
+            assert replay_trace(impl, golden, verdict.trace, profile), seed
         checked += 1
     assert checked == 60

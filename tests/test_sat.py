@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sfqlec.aig import Aig
-from sfqlec.sat import CdclSolver, Cnf, cnf_from_aig, to_dimacs
+from sfqlec.sat import Budget, CdclSolver, Cnf, cnf_from_aig, to_dimacs
 
 
 def brute_force(num_vars, clauses):
@@ -84,12 +84,12 @@ def test_pigeonhole_is_unsat_and_counts_conflicts():
 
 def test_conflict_budget_reports_unknown():
     nv, clauses = pigeonhole(5)
-    assert CdclSolver(nv, clauses, max_conflicts=3).solve() == ("unknown", None)
+    assert CdclSolver(nv, clauses).solve(budget=Budget.start(max_conflicts=3)) == ("unknown", None)
 
 
 def test_time_budget_reports_unknown():
     nv, clauses = pigeonhole(7)
-    status, _ = CdclSolver(nv, clauses, max_seconds=0.0).solve()
+    status, _ = CdclSolver(nv, clauses).solve(budget=Budget.start(max_seconds=0.0))
     assert status == "unknown"
 
 
