@@ -9,7 +9,7 @@ one common depth across the primary outputs.
 
 from dataclasses import dataclass, field
 
-from .netlist import Netlist
+from .netlist import Netlist, count_readers
 from .profiles import TechnologyProfile
 
 FANOUT_EXCEEDED = "FanoutExceeded"
@@ -59,19 +59,7 @@ class BaseDistanceSet:
         return self.distances[-1]
 
 
-def _count_readers(netlist: Netlist) -> dict[str, int]:
-    readers = {pi: 0 for pi in netlist.primary_inputs}
-    for g in netlist.gates:
-        readers.setdefault(g.output, 0)
-    for g in netlist.gates:
-        for net in g.inputs:
-            readers[net] += 1
-    for po in netlist.primary_outputs:
-        readers[po] += 1  # an output pin is one physical sink
-    return readers
-
-
-def check_fanout(netlist: Netlist, profile: TechnologyProfile, visit_counter=None) -> CheckReport:
+def check_fanout(netlist: Netlist, profile: TechnologyProfile) -> CheckReport:
     """Every net must respect its driver's fanout limit.
 
     Splitter-driven nets use splitter_fanout_limit; everything else
@@ -80,19 +68,13 @@ def check_fanout(netlist: Netlist, profile: TechnologyProfile, visit_counter=Non
     report = CheckReport("fanout")
     if not profile.requires_fanout_check:
         return report
-    readers = _count_readers(netlist)
-    if visit_counter is not None:
-        for g in netlist.gates:
-            visit_counter[g.id] = visit_counter.get(g.id, 0) + 1
-    ordered = list(netlist.primary_inputs) + [g.output for g in netlist.gates]
-    for net in ordered:
+    for net, n in count_readers(netlist).items():  # PIs, then gates in order
         driver = netlist.driver_of.get(net)
         limit = (
             profile.splitter_fanout_limit
             if driver is not None and driver.kind.name == "SPLIT"
             else profile.default_fanout_limit
         )
-        n = readers[net]
         if n > limit:
             report.violations.append(
                 Violation(FANOUT_EXCEEDED, net, f"{n} readers, limit {limit}")
@@ -100,16 +82,12 @@ def check_fanout(netlist: Netlist, profile: TechnologyProfile, visit_counter=Non
     return report
 
 
-def base_distances(
-    netlist: Netlist, profile: TechnologyProfile, visit_counter=None
-) -> dict[str, BaseDistanceSet]:
+def base_distances(netlist: Netlist, profile: TechnologyProfile) -> dict[str, BaseDistanceSet]:
     """One forward pass in topological order; each gate is visited once."""
     out: dict[str, BaseDistanceSet] = {
         pi: BaseDistanceSet(pi, (0,)) for pi in netlist.primary_inputs
     }
     for g in netlist.order:
-        if visit_counter is not None:
-            visit_counter[g.id] = visit_counter.get(g.id, 0) + 1
         step = 1 if profile.is_clocked(g.kind.name) else 0
         merged: set[int] = set()
         truncated = False
@@ -126,10 +104,7 @@ def base_distances(
 
 
 def check_path_balance(
-    netlist: Netlist,
-    profile: TechnologyProfile,
-    po_only: bool = False,
-    visit_counter=None,
+    netlist: Netlist, profile: TechnologyProfile, po_only: bool = False
 ) -> CheckReport:
     """Path balancing: singleton, equal fanin distances and equal PO depths.
 
@@ -139,7 +114,7 @@ def check_path_balance(
     report = CheckReport("path-balance")
     if not profile.requires_path_balancing:
         return report
-    dists = base_distances(netlist, profile, visit_counter=visit_counter)
+    dists = base_distances(netlist, profile)
     if not po_only:
         for g in netlist.order:
             fanins = [dists[net] for net in g.inputs]
@@ -148,7 +123,7 @@ def check_path_balance(
                 report.violations.append(
                     Violation(
                         UNBALANCED_FANIN,
-                        g.id,
+                        g.output,
                         f"fanin {bad.net} has path lengths {{{','.join(map(str, bad.distances))}}}",
                     )
                 )
@@ -159,7 +134,7 @@ def check_path_balance(
                 report.violations.append(
                     Violation(
                         UNBALANCED_FANIN,
-                        g.id,
+                        g.output,
                         f"fanin {first.net} at depth {first.depth} vs {mismatch.net} at depth {mismatch.depth}",
                     )
                 )

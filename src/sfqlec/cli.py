@@ -79,8 +79,7 @@ def cmd_build_mcid(args) -> int:
         _write(args.out, bench)
     else:
         sys.stdout.write(bench)
-    steps = [s.step for s in mcid.timed_inputs]
-    lo, hi = (min(steps), max(steps)) if steps else (0, 0)
+    lo, hi = mcid.window
     print(
         f"mcid-gates {mcid.gate_count}\n"
         f"mcid-duplicated {mcid.duplicated_gate_count}\n"
@@ -133,8 +132,7 @@ def cmd_verify(args) -> int:
         per_output=args.per_output,
     )
 
-    steps = [s.step for s in mcid.timed_inputs]
-    lo, hi = (min(steps), max(steps)) if steps else (0, 0)
+    lo, hi = mcid.window
     word = _verdict_word(verdict.equivalent)
     s = verdict.stats
     lines += [
@@ -208,6 +206,19 @@ def cmd_simulate(args) -> int:
     return EXIT_EQUIVALENT
 
 
+def _at_least_zero(convert):
+    """An argparse type: `convert` the text, then refuse negatives and NaN."""
+
+    def parse(text):
+        value = convert(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value" for non-numbers
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfqlec", description="structural checks and equivalence checking for clocked netlists"
@@ -239,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--po-only-balance", action="store_true")
     p.add_argument("--per-output", action="store_true")
     p.add_argument("--seed", type=int, default=0, help="simulation pre-pass seed")
-    p.add_argument("--max-conflicts", type=int, default=None)
-    p.add_argument("--max-seconds", type=float, default=None)
+    p.add_argument("--max-conflicts", type=_at_least_zero(int), default=None)
+    p.add_argument("--max-seconds", type=_at_least_zero(float), default=None)
     p.add_argument("--trace", metavar="FILE", default=None, help="write counterexample trace here")
     p.add_argument("--cnf", metavar="FILE", default=None, help="write miter DIMACS here")
     p.add_argument("--report", metavar="FILE", default=None)
@@ -251,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist")
     p.add_argument("--kind", required=True, choices=FAULT_KINDS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", default=None, help="gate id (default: seeded random pick)")
+    p.add_argument("--target", default=None, help="output net of the gate (default: seeded pick)")
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=cmd_inject_fault)
 
@@ -259,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist")
     common(p)
     p.add_argument("--waves", required=True, metavar="FILE", help="one wave per line: 'a=0 b=1'")
-    p.add_argument("--extra", type=int, default=None, help="cycles after the last wave")
+    p.add_argument(
+        "--extra", type=_at_least_zero(int), default=None, help="cycles after the last wave"
+    )
     p.set_defaults(func=cmd_simulate)
     return parser
 

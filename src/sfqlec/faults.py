@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import SfqlecError
-from .netlist import Gate, Netlist, get_kind, logic_levels
+from .netlist import Gate, Netlist, count_readers, get_kind, logic_levels
 
 SWAP_GATE = "swap-gate"
 REMOVE_DFF = "remove-dff"
@@ -30,16 +30,11 @@ class FaultError(SfqlecError):
 @dataclass(frozen=True)
 class FaultSpec:
     kind: str
-    target: str  # gate id in the original netlist
+    target: str  # the faulted gate's output net in the original netlist
     detail: str
 
     def line(self) -> str:
         return f"FAULT {self.kind} {self.target} {self.detail}"
-
-
-def _readers(netlist: Netlist, net: str) -> int:
-    n = sum(1 for g in netlist.gates for i in g.inputs if i == net)
-    return n + netlist.primary_outputs.count(net)
 
 
 def _rebuild(netlist: Netlist, gates: list[Gate], pos=None) -> Netlist:
@@ -52,24 +47,24 @@ def _rebuild(netlist: Netlist, gates: list[Gate], pos=None) -> Netlist:
 
 
 def _swap_gate(netlist: Netlist, rng: random.Random, target: str | None):
-    eligible = [g.id for g in netlist.gates if g.kind.name not in ("DFF", "SPLIT")]
+    eligible = [g.output for g in netlist.gates if g.kind.name not in ("DFF", "SPLIT")]
     if target is None:
         if not eligible:
             raise FaultError("no swappable gate")
         target = rng.choice(sorted(eligible))
     elif target not in eligible:
         raise FaultError(f"gate {target} cannot be swapped")
-    old = netlist.gates_by_id[target]
+    old = netlist.driver_of[target]
     pool = [k for k in _SWAP_POOL[old.kind.arity] if k != old.kind.name]
     new_kind = rng.choice(pool)
     gates = [
-        Gate(g.id, get_kind(new_kind), g.inputs, g.output) if g.id == target else g
+        Gate(get_kind(new_kind), g.inputs, g.output) if g.output == target else g
         for g in netlist.gates
     ]
     return _rebuild(netlist, gates), FaultSpec(SWAP_GATE, target, f"{old.kind.name}->{new_kind}")
 
 
-def _removable_dff(netlist: Netlist, g: Gate) -> bool:
+def _removable_dff(netlist: Netlist, readers: dict[str, int], g: Gate) -> bool:
     if g.kind.name != "DFF":
         return False
     if g.output not in netlist.primary_outputs:
@@ -80,49 +75,48 @@ def _removable_dff(netlist: Netlist, g: Gate) -> bool:
     return (
         not netlist.is_pi(src)
         and src not in netlist.primary_outputs
-        and _readers(netlist, src) == 1
+        and readers[src] == 1
     )
 
 
 def _remove_dff(netlist: Netlist, rng: random.Random, target: str | None):
-    eligible = [g.id for g in netlist.gates if _removable_dff(netlist, g)]
+    readers = count_readers(netlist)
+    eligible = [g.output for g in netlist.gates if _removable_dff(netlist, readers, g)]
     if target is None:
         if not eligible:
             raise FaultError("no removable storage gate")
         levels = logic_levels(netlist)
-        ranked = sorted(eligible, key=lambda gid: (-levels[gid], gid))
+        ranked = sorted(eligible, key=lambda out: (-levels[out], out))
         quartile = ranked[: max(1, len(ranked) // 4)]  # the ones nearest the outputs
         target = rng.choice(quartile)
     elif target not in eligible:
         raise FaultError(f"gate {target} is not a removable DFF")
-    dff = netlist.gates_by_id[target]
+    dff = netlist.driver_of[target]
     src, dst = dff.inputs[0], dff.output
     if dst not in netlist.primary_outputs:
         gates = [
-            Gate(g.id, g.kind, tuple(src if i == dst else i for i in g.inputs), g.output)
+            Gate(g.kind, tuple(src if i == dst else i for i in g.inputs), g.output)
             for g in netlist.gates
-            if g.id != target
+            if g.output != target
         ]
         return _rebuild(netlist, gates), FaultSpec(REMOVE_DFF, target, "removed")
-    driver = netlist.driver_of[src]
-    gates = []
-    for g in netlist.gates:
-        if g.id == target:
-            continue
-        if g.id == driver.id:
-            gates.append(Gate(dst, g.kind, g.inputs, dst))
-        else:
-            gates.append(g)
+    # the storage drives a primary output: its sole source gate takes over the net
+    gates = [
+        Gate(g.kind, g.inputs, dst) if g.output == src else g
+        for g in netlist.gates
+        if g.output != target
+    ]
     return _rebuild(netlist, gates), FaultSpec(REMOVE_DFF, target, "removed")
 
 
 def _remove_splitter(netlist: Netlist, rng: random.Random, target: str | None):
+    readers = count_readers(netlist)
     eligible = [
-        g.id
+        g.output
         for g in netlist.gates
         if g.kind.name == "SPLIT"
         and g.output not in netlist.primary_outputs
-        and _readers(netlist, g.output) >= 2
+        and readers[g.output] >= 2
     ]
     if target is None:
         if not eligible:
@@ -130,12 +124,12 @@ def _remove_splitter(netlist: Netlist, rng: random.Random, target: str | None):
         target = rng.choice(sorted(eligible))
     elif target not in eligible:
         raise FaultError(f"gate {target} is not a bypassable splitter")
-    sp = netlist.gates_by_id[target]
+    sp = netlist.driver_of[target]
     src, dst = sp.inputs[0], sp.output
     gates = [
-        Gate(g.id, g.kind, tuple(src if i == dst else i for i in g.inputs), g.output)
+        Gate(g.kind, tuple(src if i == dst else i for i in g.inputs), g.output)
         for g in netlist.gates
-        if g.id != target
+        if g.output != target
     ]
     pos = [src if po == dst else po for po in netlist.primary_outputs]
     return _rebuild(netlist, gates, pos), FaultSpec(REMOVE_SPLITTER, target, "bypassed")

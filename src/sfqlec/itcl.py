@@ -82,22 +82,16 @@ def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:
         prev = fed
         for j in range(1, k + 1):
             out = TimedSignal(base, pin.step - k + j)
-            chains.append(MCIDGate(str(out), "BUF", (prev,), out, str(out)))
+            chains.append(MCIDGate("BUF", (prev,), out, str(out)))
             prev = out
         replace[pin] = prev
 
     gates = chains + [
-        MCIDGate(
-            g.name,
-            g.func,
-            tuple(replace.get(i, i) for i in g.inputs),
-            g.output,
-            g.source_id,
-        )
+        MCIDGate(g.func, tuple(replace.get(i, i) for i in g.inputs), g.output, g.source_id)
         for g in mcid.gates
     ]
     outputs = {po: replace.get(sig, sig) for po, sig in mcid.outputs.items()}
-    timed_inputs = tuple(sorted(new_pins, key=lambda s: (s.net, s.step)))
+    timed_inputs = tuple(sorted(new_pins))
     return MCIDCircuit(mcid.source_name, mcid.source_pis, gates, timed_inputs, outputs)
 
 
@@ -115,6 +109,8 @@ def match_inputs(mcid: MCIDCircuit, golden_pis: list[str]) -> InputMatching:
     (ties break toward the latest step).  A spec input absent at t* binds to
     its nearest occurrence, earlier on ties; every unbound pin stays free.
     """
+    if not golden_pis:
+        raise ItclError("specification has no primary inputs, so nothing to compare")
     occurrences: dict[str, list[int]] = {}
     for sig in mcid.timed_inputs:
         occurrences.setdefault(sig.net, []).append(sig.step)

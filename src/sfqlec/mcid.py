@@ -29,7 +29,8 @@ class TimedSignal:
 
 @dataclass(frozen=True)
 class MCIDGate:
-    name: str
+    """One unrolled gate, named by its output signal."""
+
     func: str  # combinational kind name; storage elements appear as BUF
     inputs: tuple[TimedSignal, ...]
     output: TimedSignal
@@ -41,7 +42,7 @@ class MCIDCircuit:
     source_name: str
     source_pis: tuple[str, ...]
     gates: list[MCIDGate]
-    timed_inputs: tuple[TimedSignal, ...]  # sorted by (net, step)
+    timed_inputs: tuple[TimedSignal, ...]  # sorted: by net, then step
     outputs: dict[str, TimedSignal]  # source PO name -> timed signal at step 0
 
     @property
@@ -54,8 +55,10 @@ class MCIDCircuit:
         return len(self.gates) - len({g.source_id for g in self.gates})
 
     @property
-    def earliest_step(self) -> int:
-        return min((s.step for s in self.timed_inputs), default=0)
+    def window(self) -> tuple[int, int]:
+        """(earliest, latest) step of any input pin; (0, 0) without pins."""
+        steps = [s.step for s in self.timed_inputs]
+        return (min(steps), max(steps)) if steps else (0, 0)
 
     @cached_property
     def producers(self) -> dict[TimedSignal, MCIDGate]:
@@ -109,14 +112,14 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
                 sig = TimedSignal(net, t)
                 ins = tuple(memo[(i, t - dt)] for i in gate.inputs)
                 func = "BUF" if gate.kind.name == "DFF" else gate.kind.name
-                gates.append(MCIDGate(str(sig), func, ins, sig, gate.id))
+                gates.append(MCIDGate(func, ins, sig, gate.output))
                 memo[key] = sig
             else:
                 stack.append((net, t, True))
                 for i in reversed(gate.inputs):
                     stack.append((i, t - dt, False))
 
-    timed_inputs = tuple(sorted(set(pins), key=lambda s: (s.net, s.step)))
+    timed_inputs = tuple(sorted(set(pins)))
     outputs = {po: memo[(po, 0)] for po in netlist.primary_outputs}
     return MCIDCircuit(netlist.name, tuple(netlist.primary_inputs), gates, timed_inputs, outputs)
 
@@ -144,9 +147,9 @@ def mcid_size_upper_bound(
     """
     levels = logic_levels(netlist, profile)
     total = 0
-    for gid in removed_dffs:
-        gate = netlist.gates_by_id[gid]
+    for out in removed_dffs:
+        gate = netlist.driver_of[out]
         if gate.kind.name != "DFF":
-            raise ValueError(f"{gid} is not a DFF")
+            raise ValueError(f"{out} is not a DFF")
         total += (1 << levels[gate.inputs[0]]) - 1
     return total

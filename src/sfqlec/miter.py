@@ -31,7 +31,7 @@ from .itcl import InputMatching, match_inputs
 from .mcid import MCIDCircuit
 from .netlist import Netlist
 from .profiles import KINDS
-from .sat import Budget, CdclSolver, cnf_from_aig, _label_key
+from .sat import Budget, CdclSolver, cnf_from_aig
 from .trace import TimedTrace
 
 _SIM_ROUNDS = 8
@@ -80,7 +80,7 @@ def build_miter(
     for g in golden.gates:
         if g.kind.name in ("DFF", "SPLIT"):
             raise MiterError(
-                f"golden specification must be combinational, found {g.kind.name} gate {g.id}"
+                f"golden specification must be combinational, found {g.kind.name} gate {g.output}"
             )
     want = set(golden.primary_outputs)
     have = set(mcid.outputs)
@@ -120,7 +120,7 @@ def _lex_min_model(
     if len(ins) * max(1, len(ands)) > _CANON_CAP:
         stats.trace_canonical = "capped"
         return model
-    labels = sorted((aig.label(i) for i in ins), key=_label_key)
+    labels = sorted(aig.label(i) for i in ins)
     cur = {lbl: model.get(lbl, 0) for lbl in labels}
     for k, lbl in enumerate(labels):
         if not cur[lbl]:
@@ -157,7 +157,7 @@ def _decide_root(aig: Aig, root: int, stats: VerdictStats, budget: Budget, seed)
         return False, {}, None
 
     ins, _ = aig.cone([root])
-    labels = sorted((aig.label(i) for i in ins), key=_label_key)
+    labels = sorted(aig.label(i) for i in ins)
     rng = random.Random(seed)
     mask = (1 << _SIM_WIDTH) - 1
     for _ in range(_SIM_ROUNDS):
@@ -245,10 +245,8 @@ def extract_trace(miter: Miter, model: dict) -> TimedTrace:
             break
     if failing is None:
         raise MiterError("assignment does not distinguish the two sides")
-    pins = mcid.timed_inputs
-    earliest = min((p.step for p in pins), default=0)
-    latest = max((p.step for p in pins), default=0)
-    timed = {(p.net, p.step - earliest): model.get(p, 0) for p in pins}
+    earliest, latest = mcid.window
+    timed = {(p.net, p.step - earliest): model.get(p, 0) for p in mcid.timed_inputs}
     golden_assign = {pi: model.get(sig, 0) for pi, sig in miter.matching.matched.items()}
     return TimedTrace(
         pi_order=mcid.source_pis,

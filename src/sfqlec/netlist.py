@@ -41,7 +41,8 @@ def evaluate_kind(name: str, args: list[int], mask: int = 1) -> int:
 
 @dataclass(frozen=True)
 class Gate:
-    id: str
+    """One single-output gate, named by the net it drives."""
+
     kind: GateKind
     inputs: tuple[str, ...]
     output: str
@@ -69,64 +70,59 @@ class Netlist:
     primary_outputs: tuple[str, ...]
     gates: tuple[Gate, ...]
     driver_of: dict[str, Gate] = field(init=False, repr=False, compare=False)
-    gates_by_id: dict[str, Gate] = field(init=False, repr=False, compare=False)
     order: tuple[Gate, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.driver_of = {}
-        self.gates_by_id = {}
         self._pis = pi_set = frozenset(self.primary_inputs)
         if len(pi_set) != len(self.primary_inputs):
             raise NetlistError("duplicate primary input declaration")
         if len(set(self.primary_outputs)) != len(self.primary_outputs):
             raise NetlistError("duplicate primary output declaration")
         for g in self.gates:
-            if g.id in self.gates_by_id:
-                raise NetlistError(f"duplicate gate id {g.id!r}")
             if g.output in pi_set:
                 raise NetlistError(f"net {g.output!r} driven by a gate but declared INPUT")
             if g.output in self.driver_of:
                 raise NetlistError(f"net {g.output!r} has two drivers")
             if len(g.inputs) != g.kind.arity:
                 raise NetlistError(
-                    f"gate {g.id!r}: {g.kind.name} takes {g.kind.arity} inputs, got {len(g.inputs)}"
+                    f"gate {g.output!r}: {g.kind.name} takes {g.kind.arity} inputs, "
+                    f"got {len(g.inputs)}"
                 )
             self.driver_of[g.output] = g
-            self.gates_by_id[g.id] = g
         for g in self.gates:
             for net in g.inputs:
                 if net not in pi_set and net not in self.driver_of:
-                    raise NetlistError(f"gate {g.id!r} reads undriven net {net!r}")
+                    raise NetlistError(f"gate {g.output!r} reads undriven net {net!r}")
         for po in self.primary_outputs:
             if po not in pi_set and po not in self.driver_of:
                 raise NetlistError(f"primary output {po!r} is undriven")
         self.order = self._kahn_order()
 
     def _kahn_order(self) -> tuple[Gate, ...]:
-        """Kahn's algorithm over gates; deterministic, ties broken by gate id.
-        Raises on cycles."""
+        """Kahn's algorithm over gates; deterministic, ties broken by output
+        net.  Raises on cycles."""
         indegree: dict[str, int] = {}
         consumers: dict[str, list[str]] = {}
         for g in self.gates:
             deps = 0
             for net in g.inputs:
-                drv = self.driver_of.get(net)
-                if drv is not None:
+                if net in self.driver_of:
                     deps += 1
-                    consumers.setdefault(drv.id, []).append(g.id)
-            indegree[g.id] = deps
-        ready = [gid for gid, d in indegree.items() if d == 0]
+                    consumers.setdefault(net, []).append(g.output)
+            indegree[g.output] = deps
+        ready = [out for out, d in indegree.items() if d == 0]
         heapq.heapify(ready)
         order: list[Gate] = []
         while ready:
-            gid = heapq.heappop(ready)
-            order.append(self.gates_by_id[gid])
-            for nxt in consumers.get(gid, ()):
+            out = heapq.heappop(ready)
+            order.append(self.driver_of[out])
+            for nxt in consumers.get(out, ()):
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     heapq.heappush(ready, nxt)
         if len(order) != len(self.gates):
-            stuck = sorted(set(indegree) - {g.id for g in order})
+            stuck = sorted(set(indegree) - {g.output for g in order})
             raise NetlistError(f"cycle detected involving gate(s): {', '.join(stuck[:5])}")
         return tuple(order)
 
@@ -183,7 +179,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
             if out in seen_outputs:
                 raise BenchParseError(line_no, f"net {out!r} has two drivers")
             seen_outputs.add(out)
-            gates.append(Gate(id=out, kind=kind, inputs=tuple(args), output=out))
+            gates.append(Gate(kind, tuple(args), out))
             continue
         raise BenchParseError(line_no, f"cannot parse {line!r}")
     return Netlist(name=name, primary_inputs=tuple(pis), primary_outputs=tuple(pos), gates=tuple(gates))
@@ -199,8 +195,22 @@ def write_netlist(netlist: Netlist) -> str:
 
 
 def topological_order(netlist: Netlist) -> list[str]:
-    """Gate ids in the netlist's topological order (ties broken by gate id)."""
-    return [g.id for g in netlist.order]
+    """Gate output nets in the netlist's topological order (ties broken by
+    output net)."""
+    return [g.output for g in netlist.order]
+
+
+def count_readers(netlist: Netlist) -> dict[str, int]:
+    """Sinks of every net: gate input pins plus primary output pins."""
+    readers = {pi: 0 for pi in netlist.primary_inputs}
+    for g in netlist.gates:
+        readers.setdefault(g.output, 0)
+    for g in netlist.gates:
+        for net in g.inputs:
+            readers[net] += 1
+    for po in netlist.primary_outputs:
+        readers[po] += 1  # an output pin is one physical sink
+    return readers
 
 
 def logic_levels(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> dict[str, int]:

@@ -28,15 +28,11 @@ class Cnf:
     root_lit: int
 
 
-def _label_key(label):
-    return (getattr(label, "net", str(label)), getattr(label, "step", 0))
-
-
 def cnf_from_aig(aig, root: int) -> Cnf:
     """Encode the cone of `root` with one clause asserting it true.
 
-    Variable numbering is stable: cone inputs first, ordered by
-    (signal name, time step), then and-nodes by index.
+    Variable numbering is stable: cone inputs first, in label order (a
+    timed signal sorts by name, then step), then and-nodes by index.
     """
     if root >> 1 == 0:
         raise ValueError("constant root needs no CNF")
@@ -44,7 +40,7 @@ def cnf_from_aig(aig, root: int) -> Cnf:
     var_of: dict[int, int] = {}
     input_vars: dict = {}
     var_labels: dict[int, str] = {}
-    for i in sorted(ins, key=lambda n: _label_key(aig.label(n))):
+    for i in sorted(ins, key=aig.label):
         var_of[i] = len(var_of) + 1
         input_vars[aig.label(i)] = var_of[i]
         var_labels[var_of[i]] = str(aig.label(i))

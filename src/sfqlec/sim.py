@@ -82,7 +82,7 @@ def evaluate_golden(netlist: Netlist, assignment: dict[str, int], mask: int = 1)
     values = {pi: assignment.get(pi, 0) & mask for pi in netlist.primary_inputs}
     for g in netlist.order:
         if g.kind.name == "DFF":
-            raise SimError(f"specification netlist holds state (DFF {g.id})")
+            raise SimError(f"specification netlist holds state (DFF {g.output})")
         values[g.output] = g.kind.meaning(alg, *[values[i] for i in g.inputs])
     return {po: values[po] for po in netlist.primary_outputs}
 
@@ -133,9 +133,7 @@ def exhaustive_equivalence(
         mcid = apply_itcl(mcid, schedule)
         shifts = schedule.shifts(mcid.source_pis)
     matching = match_inputs(mcid, list(golden.primary_inputs))
-    pins = mcid.timed_inputs
-    earliest = min((p.step for p in pins), default=0)
-    latest = max((p.step for p in pins), default=0)
+    earliest, latest = mcid.window
     steps = range(earliest, latest + 1)
     cells = [(pi, s) for pi in netlist.primary_inputs for s in steps]
     bits = len(cells)

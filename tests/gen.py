@@ -37,21 +37,21 @@ def random_comb(rng: random.Random, n_pis: int = 4, n_gates: int = 8) -> Netlist
             read.add(pi)
     read = {i for _, _, ins in rows for i in ins}
     pos = [out for out, _, _ in rows if out not in read]
-    gates = tuple(Gate(out, get_kind(kind), tuple(ins), out) for out, kind, ins in rows)
+    gates = tuple(Gate(get_kind(kind), tuple(ins), out) for out, kind, ins in rows)
     return Netlist(name=f"comb{n_gates}", primary_inputs=tuple(pis), primary_outputs=tuple(pos), gates=gates)
 
 
 def mutate_comb(rng: random.Random, comb: Netlist) -> Netlist:
     """Swap one two-input gate's function; usually changes the circuit."""
-    two_in = sorted((g for g in comb.gates if g.kind.arity == 2), key=lambda g: g.id)
+    two_in = sorted((g for g in comb.gates if g.kind.arity == 2), key=lambda g: g.output)
     if two_in:
         victim = rng.choice(two_in)
         new_kind = rng.choice([k for k in _TWO_IN if k != victim.kind.name])
     else:
-        victim = rng.choice(sorted(comb.gates, key=lambda g: g.id))
+        victim = rng.choice(sorted(comb.gates, key=lambda g: g.output))
         new_kind = "BUF" if victim.kind.name == "INV" else "INV"
     gates = tuple(
-        Gate(g.id, get_kind(new_kind), g.inputs, g.output) if g.id == victim.id else g
+        Gate(get_kind(new_kind), g.inputs, g.output) if g.output == victim.output else g
         for g in comb.gates
     )
     return Netlist(
@@ -87,7 +87,7 @@ def random_pipeline(rng: random.Random, n_pis: int = 3, n_gates: int = 10) -> Ne
         rows.append(("gcap", "INV", [feed]))
         sinks = ["gcap"]
     pos = sorted(rng.sample(sinks, min(len(sinks), rng.randint(1, 2))))
-    gates = tuple(Gate(out, get_kind(kind), tuple(ins), out) for out, kind, ins in rows)
+    gates = tuple(Gate(get_kind(kind), tuple(ins), out) for out, kind, ins in rows)
     return Netlist(name=f"pipe{n_gates}", primary_inputs=tuple(pis), primary_outputs=tuple(pos), gates=gates)
 
 
@@ -128,7 +128,7 @@ def sfqify(comb: Netlist, name: str | None = None) -> Netlist:
         return delay_cache[key]
 
     for gid in topological_order(comb):
-        g = comb.gates_by_id[gid]
+        g = comb.driver_of[gid]
         assert g.kind.name not in ("DFF", "SPLIT"), "source must be combinational"
         lv = 1 + max(levels[i] for i in g.inputs)
         ins = [delayed(i, lv - 1 - levels[i]) for i in g.inputs]
@@ -182,7 +182,7 @@ def sfqify(comb: Netlist, name: str | None = None) -> Netlist:
             for i, (gi, si) in enumerate(uses):
                 rows[gi][2][si] = rows[len(rows) - m + min(i, m - 1)][0]
 
-    gates = tuple(Gate(out, get_kind(kind), tuple(ins), out) for out, kind, ins in rows)
+    gates = tuple(Gate(get_kind(kind), tuple(ins), out) for out, kind, ins in rows)
     return Netlist(
         name=name or f"{comb.name}_sfq",
         primary_inputs=tuple(comb.primary_inputs),

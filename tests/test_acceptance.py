@@ -159,7 +159,7 @@ def test_criterion_4_duplication_count_and_bound():
         seed += 1
         rng = random.Random(40_000 + seed)
         _, impl = small_pipeline(rng, n_gates=(3, 8))
-        dffs = [g.id for g in impl.gates if g.kind.name == "DFF"]
+        dffs = [g.output for g in impl.gates if g.kind.name == "DFF"]
         if not dffs:
             continue
         removed = rng.sample(dffs, min(len(dffs), rng.choice([1, 2])))
@@ -191,7 +191,7 @@ def test_criterion_5_balanced_model_mirrors_source():
         # one pin per input, all on the same wave: the model is the source
         # combinational function verbatim
         pis = sorted(comb.primary_inputs)
-        step = mcid.earliest_step
+        step = mcid.window[0]
         assert [str(s) for s in mcid.timed_inputs] == [f"{pi}@t{step}" for pi in pis]
         model = parse_netlist(mcid.to_bench())
         width = 1 << len(pis)

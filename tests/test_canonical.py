@@ -39,7 +39,7 @@ def as_wires(pipe: Netlist) -> Netlist:
     """The pipeline's logic with its DFFs and splitters read as plain wires."""
     wire = get_kind("BUF")
     gates = tuple(
-        Gate(g.id, wire, g.inputs, g.output) if g.kind.name in ("DFF", "SPLIT") else g
+        Gate(wire, g.inputs, g.output) if g.kind.name in ("DFF", "SPLIT") else g
         for g in pipe.gates
     )
     return Netlist(pipe.name + "_wires", pipe.primary_inputs, pipe.primary_outputs, gates)

@@ -138,17 +138,6 @@ def test_distance_sets_match_definitional_recursion():
             assert frozenset(got.distances) == want, (seed, net_name)
 
 
-def test_each_gate_visited_once():
-    for seed in range(10):
-        rng = random.Random(seed)
-        net = random_pipeline(rng, n_pis=3, n_gates=15)
-        for fn in (check_fanout, check_path_balance):
-            visits = {}
-            fn(net, RSFQ, visit_counter=visits)
-            assert set(visits) == {g.id for g in net.gates}
-            assert set(visits.values()) == {1}
-
-
 def test_wide_distance_sets_are_truncated_not_enumerated():
     # each stage unions {+1, +2} onto the set, so widths pass any cap fast
     lines = ["INPUT(x0)", "OUTPUT(out)"]

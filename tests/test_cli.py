@@ -337,6 +337,38 @@ def test_non_utf8_input_is_a_config_error(work, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_verify_empty_spec_is_a_config_error(work, capsys):
+    # no inputs, so no outputs either: there is no wave to match
+    (work / "empty.bench").write_text("")
+    (work / "empty_golden.bench").write_text("")
+    code, _, err = run(capsys, "verify", work / "empty.bench", work / "empty_golden.bench")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "late_d.bench", "--waves", "in.waves", "--extra", "-2"),
+        ("simulate", "late_d.bench", "--waves", "in.waves", "--extra", "-9"),
+        ("verify", "late_d.bench", "late_d_golden.bench", "--max-conflicts", "-1"),
+        ("verify", "late_d.bench", "late_d_golden.bench", "--max-seconds", "-0.5"),
+        ("verify", "late_d.bench", "late_d_golden.bench", "--max-seconds", "nan"),
+    ],
+    ids=["extra-2", "extra-9", "conflicts-1", "seconds-0.5", "seconds-nan"],
+)
+def test_negative_or_nan_limits_are_usage_errors(work, capsys, argv):
+    (work / "in.waves").write_text("a=0 b=1 c=1 d=0\nd=1\nd=1\n")
+    args = [str(work / a) if a.endswith((".bench", ".waves")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argv[-2]}: must be at least 0" in captured.err
+
+
 def test_missing_subcommand_exits_argparse_style(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -25,19 +25,19 @@ def test_swap_changes_exactly_one_gate_function():
     faulty, spec = inject(src, SWAP_GATE, seed=3)
     assert spec.kind == SWAP_GATE
     old_kind, _, new_kind = spec.detail.partition("->")
-    changed = faulty.gates_by_id[spec.target]
+    changed = faulty.driver_of[spec.target]
     assert changed.kind.name == new_kind != old_kind
-    assert changed.kind.arity == src.gates_by_id[spec.target].kind.arity
-    assert changed.inputs == src.gates_by_id[spec.target].inputs
-    same = [g for g in src.gates if g.id != spec.target]
-    assert all(faulty.gates_by_id[g.id].kind.name == g.kind.name for g in same)
+    assert changed.kind.arity == src.driver_of[spec.target].kind.arity
+    assert changed.inputs == src.driver_of[spec.target].inputs
+    same = [g for g in src.gates if g.output != spec.target]
+    assert all(faulty.driver_of[g.output].kind.name == g.kind.name for g in same)
     assert spec.line() == f"FAULT swap-gate {spec.target} {spec.detail}"
 
 
 def test_swap_never_touches_storage_or_splitters():
     for seed in range(30):
         _, spec = inject(late_d_netlist(), SWAP_GATE, seed=seed)
-        kind = late_d_netlist().gates_by_id[spec.target].kind.name
+        kind = late_d_netlist().driver_of[spec.target].kind.name
         assert kind not in ("DFF", "SPLIT"), spec
 
 
@@ -54,8 +54,8 @@ def test_remove_dff_rewires_readers():
     src = late_d_netlist()
     faulty, spec = inject(src, REMOVE_DFF, seed=0, target="r2")
     assert spec.line() == "FAULT remove-dff r2 removed"
-    assert "r2" not in faulty.gates_by_id
-    assert faulty.gates_by_id["r3"].inputs == ("r1",)
+    assert "r2" not in faulty.driver_of
+    assert faulty.driver_of["r3"].inputs == ("r1",)
     assert len(faulty.gates) == len(src.gates) - 1
 
 
@@ -67,12 +67,12 @@ def test_remove_dff_on_an_output_renames_the_driver():
     po_net = parse_netlist(text)
     faulty, spec = inject(po_net, REMOVE_DFF, target="q")
     assert spec.target == "q"
-    assert [g.id for g in faulty.gates] == ["q"]
-    assert faulty.gates_by_id["q"].kind.name == "INV"
+    assert [g.output for g in faulty.gates] == ["q"]
+    assert faulty.driver_of["q"].kind.name == "INV"
     assert faulty.primary_outputs == ("q",)
     # the internal DFF of the reconvergent block removes the plain way
     faulty2, _ = inject(net, REMOVE_DFF, target="d1")
-    assert faulty2.gates_by_id["a2"].inputs == ("g1", "ps")
+    assert faulty2.driver_of["a2"].inputs == ("g1", "ps")
 
 
 def test_remove_dff_prefers_storage_near_the_outputs():
@@ -101,7 +101,7 @@ def test_remove_splitter_always_breaks_fanout():
     for net, splitter in ((late_d_netlist(), "dsp"), (inv_split_netlist(), "isp")):
         faulty, spec = inject(net, REMOVE_SPLITTER, target=splitter)
         assert spec.detail == "bypassed"
-        assert splitter not in faulty.gates_by_id
+        assert splitter not in faulty.driver_of
         rep = check_fanout(faulty, RSFQ)
         assert not rep.passed
         assert rep.violations[0].kind == FANOUT_EXCEEDED

@@ -64,8 +64,8 @@ def test_late_input_gets_buffer_chain():
     assert dependency_window(shifted)["a"] == (-5,)
     # one buffer per shifted pin; original gates untouched
     assert shifted.gate_count == mcid.gate_count + 2
-    chain = [g for g in shifted.gates if g.func == "BUF" and ".itcl." in g.name]
-    assert {g.name for g in chain} == {"d.itcl.t-5@t-5", "d.itcl.t-4@t-4"}
+    chain = [g for g in shifted.gates if g.func == "BUF" and ".itcl." in str(g.output)]
+    assert {str(g.output) for g in chain} == {"d.itcl.t-5@t-5", "d.itcl.t-4@t-4"}
     assert {str(g.inputs[0]) for g in chain} == {"d@t-6", "d@t-5"}
     # chain buffers are their own source, so duplication stays put
     assert shifted.duplicated_gate_count == mcid.duplicated_gate_count
@@ -76,7 +76,7 @@ def test_two_cycle_shift_chains_two_buffers():
     shifted = apply_itcl(mcid, ArrivalSchedule.parse("d:2"))
     assert dependency_window(shifted)["d"] == (-7, -6)
     assert shifted.gate_count == mcid.gate_count + 4
-    names = {g.name for g in shifted.gates if ".itcl." in g.name}
+    names = {str(g.output) for g in shifted.gates if ".itcl." in str(g.output)}
     assert names == {
         "d.itcl.t-5@t-6",
         "d.itcl.t-5@t-5",
@@ -88,7 +88,7 @@ def test_two_cycle_shift_chains_two_buffers():
 def test_consumers_read_the_chain_not_the_pin():
     mcid = build_mcid(late_d_netlist(), RSFQ)
     shifted = apply_itcl(mcid, ArrivalSchedule.parse("d:1"))
-    t2 = next(g for g in shifted.gates if g.name == "t2@t-3")
+    t2 = next(g for g in shifted.gates if str(g.output) == "t2@t-3")
     assert "d.itcl.t-4@t-4" in [str(s) for s in t2.inputs]
     pins = set(shifted.timed_inputs)
     for g in shifted.gates:

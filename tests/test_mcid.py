@@ -24,7 +24,7 @@ RSFQ = builtin_profile("rsfq")
 
 
 def names(mcid):
-    return {g.name for g in mcid.gates}
+    return {str(g.output) for g in mcid.gates}
 
 
 def test_timed_signal_renders_with_step():
@@ -36,7 +36,7 @@ def test_late_arrival_model_shape():
     mcid = build_mcid(late_d_netlist(), RSFQ)
     assert mcid.gate_count == 12
     assert mcid.duplicated_gate_count == 0
-    assert mcid.earliest_step == -5
+    assert mcid.window[0] == -5
     assert mcid.outputs == {"out": TimedSignal("out", 0)}
     assert [str(s) for s in mcid.timed_inputs] == [
         "a@t-5",
@@ -69,11 +69,13 @@ def test_late_arrival_dependency_window():
         "c": (-5,),
         "d": (-5, -4),
     }
+    # a model that samples no input has the empty window
+    assert build_mcid(parse_netlist("INPUT(a)\n"), RSFQ).window == (0, 0)
 
 
 def test_storage_becomes_buffer_and_splitters_vanish():
     mcid = build_mcid(late_d_netlist(), RSFQ)
-    by_name = {g.name: g for g in mcid.gates}
+    by_name = {str(g.output): g for g in mcid.gates}
     assert by_name["mD@t-1"].func == "BUF"
     assert by_name["r1@t-4"].func == "BUF"
     # mD reads through the msp splitter straight to m
@@ -145,7 +147,7 @@ def test_model_is_closed_and_time_consistent():
         rng = random.Random(100 + seed)
         comb = random_comb(rng, n_pis=3, n_gates=rng.randint(2, 8))
         sfq = sfqify(comb)
-        victims = [g.id for g in sfq.gates if g.kind.name == "DFF"]
+        victims = [g.output for g in sfq.gates if g.kind.name == "DFF"]
         net = sfq
         if victims:
             net, _ = inject(net, "remove-dff", seed=seed)
@@ -156,7 +158,7 @@ def test_model_is_closed_and_time_consistent():
         seen = set(pins)
         for g in mcid.gates:  # gates arrive in dependency order
             for src in g.inputs:
-                assert src in seen, (seed, g.name)
+                assert src in seen, (seed, str(g.output))
                 assert src.step <= g.output.step
             seen.add(g.output)
         for po, sig in mcid.outputs.items():
@@ -168,7 +170,7 @@ def test_random_removals_never_beat_the_bound():
         rng = random.Random(200 + seed)
         comb = random_comb(rng, n_pis=rng.randint(2, 4), n_gates=rng.randint(3, 9))
         sfq = sfqify(comb)
-        dffs = [g.id for g in sfq.gates if g.kind.name == "DFF"]
+        dffs = [g.output for g in sfq.gates if g.kind.name == "DFF"]
         if not dffs:
             continue
         removed = rng.sample(dffs, min(len(dffs), rng.randint(1, 2)))

@@ -29,7 +29,7 @@ def test_parse_small_bench():
     assert net.name == "small"
     assert net.primary_inputs == ("a", "b")
     assert net.primary_outputs == ("y",)
-    assert [g.id for g in net.gates] == ["n1", "n2", "y"]
+    assert [g.output for g in net.gates] == ["n1", "n2", "y"]
     assert net.driver_of["y"].kind.name == "INV"
     assert net.is_pi("a") and not net.is_pi("n1")
 
@@ -46,8 +46,8 @@ def test_roundtrip_through_bench_text():
         again = parse_netlist(write_netlist(net), name=net.name)
         assert again.primary_inputs == net.primary_inputs
         assert again.primary_outputs == net.primary_outputs
-        assert {g.id: (g.kind.name, g.inputs) for g in again.gates} == {
-            g.id: (g.kind.name, g.inputs) for g in net.gates
+        assert {g.output: (g.kind.name, g.inputs) for g in again.gates} == {
+            g.output: (g.kind.name, g.inputs) for g in net.gates
         }
 
 
@@ -57,7 +57,7 @@ def test_topological_order_respects_dependencies():
         net = random_comb(rng, n_pis=3, n_gates=rng.randint(2, 12))
         seen = set(net.primary_inputs)
         for gid in topological_order(net):
-            g = net.gates_by_id[gid]
+            g = net.driver_of[gid]
             assert all(i in seen for i in g.inputs), gid
             seen.add(g.output)
         assert len(seen) == len(net.primary_inputs) + len(net.gates)
@@ -134,8 +134,8 @@ def test_validation_rejects_bad_graphs():
             primary_inputs=("a",),
             primary_outputs=("y",),
             gates=(
-                Gate("y", kinds[0], ("a", "z"), "y"),
-                Gate("z", kinds[1], ("y",), "z"),
+                Gate(kinds[0], ("a", "z"), "y"),
+                Gate(kinds[1], ("y",), "z"),
             ),
         )
         topological_order(loop)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sfqlec.aig import Aig
+from sfqlec.mcid import TimedSignal
 from sfqlec.sat import Budget, CdclSolver, Cnf, cnf_from_aig, to_dimacs
 
 
@@ -106,6 +107,15 @@ def test_cnf_from_aig_variable_order_and_tseitin_shape():
     assert cnf.root_lit == 3
     assert (3, -1, -2) in cnf.clauses or (3, -2, -1) in cnf.clauses
     assert cnf.clauses[-1] == (3,)
+
+
+def test_cnf_input_order_is_numeric_in_the_step():
+    g = Aig()
+    late, early, mid = (g.input_(TimedSignal("n", t)) for t in (-1, -10, -9))
+    cnf = cnf_from_aig(g, g.and_(g.and_(late, early), mid))
+    # as text "n@t-1" < "n@t-10" < "n@t-9"; as numbers -10 < -9 < -1
+    assert [cnf.var_labels[v] for v in (1, 2, 3)] == ["n@t-10", "n@t-9", "n@t-1"]
+    assert [cnf.input_vars[TimedSignal("n", t)] for t in (-10, -9, -1)] == [1, 2, 3]
 
 
 def test_cnf_from_aig_rejects_constant_root():
