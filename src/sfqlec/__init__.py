@@ -13,7 +13,6 @@ from .faults import FAULT_KINDS, FaultSpec, inject
 from .itcl import ArrivalSchedule, InputMatching, apply_itcl, match_inputs
 from .mcid import (
     MCIDCircuit,
-    MCIDGate,
     TimedSignal,
     build_mcid,
     dependency_window,
@@ -25,7 +24,6 @@ from .netlist import (
     Netlist,
     NetlistError,
     circuit_depth,
-    logic_level,
     logic_levels,
     parse_netlist,
     topological_order,
@@ -57,7 +55,6 @@ __all__ = [
     "Gate",
     "InputMatching",
     "MCIDCircuit",
-    "MCIDGate",
     "Miter",
     "Netlist",
     "NetlistError",
@@ -84,7 +81,6 @@ __all__ = [
     "extract_trace",
     "inject",
     "load_profile",
-    "logic_level",
     "logic_levels",
     "match_inputs",
     "mcid_size_upper_bound",

@@ -33,7 +33,6 @@ class Violation:
 
 @dataclass
 class CheckReport:
-    check_name: str
     violations: list[Violation] = field(default_factory=list)
 
     @property
@@ -65,7 +64,7 @@ def check_fanout(netlist: Netlist, profile: TechnologyProfile) -> CheckReport:
     Splitter-driven nets use splitter_fanout_limit; everything else
     (including primary inputs) uses default_fanout_limit.
     """
-    report = CheckReport("fanout")
+    report = CheckReport()
     if not profile.requires_fanout_check:
         return report
     for net, n in count_readers(netlist).items():  # PIs, then gates in order
@@ -111,7 +110,7 @@ def check_path_balance(
     po_only relaxes the per-fanin requirement and checks only that all
     primary outputs sit at one common depth.
     """
-    report = CheckReport("path-balance")
+    report = CheckReport()
     if not profile.requires_path_balancing:
         return report
     dists = base_distances(netlist, profile)

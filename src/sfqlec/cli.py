@@ -15,7 +15,7 @@ import time
 from .checks import check_fanout, check_path_balance
 from .errors import SfqlecError
 from .faults import FAULT_KINDS, inject
-from .itcl import ArrivalSchedule, apply_itcl, match_inputs
+from .itcl import ArrivalSchedule, apply_itcl
 from .mcid import build_mcid
 from .miter import build_miter, check_equivalence
 from .netlist import parse_netlist, write_netlist
@@ -117,8 +117,7 @@ def cmd_verify(args) -> int:
     mcid = build_mcid(netlist, profile)
     if args.arrivals:
         mcid = apply_itcl(mcid, ArrivalSchedule.parse(args.arrivals))
-    matching = match_inputs(mcid, list(golden.primary_inputs))
-    miter = build_miter(mcid, golden, matching)
+    miter = build_miter(mcid, golden)
     if args.cnf:
         if miter.root >> 1 == 0:
             _write(args.cnf, "p cnf 0 0\n" if miter.root == 0 else "p cnf 0 1\n0\n")
@@ -139,7 +138,7 @@ def cmd_verify(args) -> int:
         f"mcid-gates {mcid.gate_count}",
         f"mcid-duplicated {mcid.duplicated_gate_count}",
         f"window {lo}..{hi}",
-        f"matched-step {matching.t_star}",
+        f"matched-step {miter.matching.t_star}",
         f"verdict {word}",
         f"method {s.method}",
         f"aig-nodes {s.aig_nodes}",

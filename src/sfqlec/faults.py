@@ -46,14 +46,30 @@ def _rebuild(netlist: Netlist, gates: list[Gate], pos=None) -> Netlist:
     )
 
 
+def _pick(rng, eligible: list[str], target: str | None, none: str, bad: str, rank=sorted) -> str:
+    """The given target if it is eligible, else a seeded choice from
+    `rank(eligible)`; `none` and `bad` complete the error messages."""
+    if target is not None:
+        if target not in eligible:
+            raise FaultError(f"gate {target} {bad}")
+        return target
+    if not eligible:
+        raise FaultError(f"no {none}")
+    return rng.choice(rank(eligible))
+
+
+def _bypass(netlist: Netlist, src: str, dst: str) -> list[Gate]:
+    """Drop dst's driver and let dst's readers read src instead."""
+    return [
+        Gate(g.kind, tuple(src if i == dst else i for i in g.inputs), g.output)
+        for g in netlist.gates
+        if g.output != dst
+    ]
+
+
 def _swap_gate(netlist: Netlist, rng: random.Random, target: str | None):
     eligible = [g.output for g in netlist.gates if g.kind.name not in ("DFF", "SPLIT")]
-    if target is None:
-        if not eligible:
-            raise FaultError("no swappable gate")
-        target = rng.choice(sorted(eligible))
-    elif target not in eligible:
-        raise FaultError(f"gate {target} cannot be swapped")
+    target = _pick(rng, eligible, target, "swappable gate", "cannot be swapped")
     old = netlist.driver_of[target]
     pool = [k for k in _SWAP_POOL[old.kind.arity] if k != old.kind.name]
     new_kind = rng.choice(pool)
@@ -82,30 +98,25 @@ def _removable_dff(netlist: Netlist, readers: dict[str, int], g: Gate) -> bool:
 def _remove_dff(netlist: Netlist, rng: random.Random, target: str | None):
     readers = count_readers(netlist)
     eligible = [g.output for g in netlist.gates if _removable_dff(netlist, readers, g)]
-    if target is None:
-        if not eligible:
-            raise FaultError("no removable storage gate")
+
+    def nearest_outputs(eligible):
         levels = logic_levels(netlist)
         ranked = sorted(eligible, key=lambda out: (-levels[out], out))
-        quartile = ranked[: max(1, len(ranked) // 4)]  # the ones nearest the outputs
-        target = rng.choice(quartile)
-    elif target not in eligible:
-        raise FaultError(f"gate {target} is not a removable DFF")
+        return ranked[: max(1, len(ranked) // 4)]
+
+    target = _pick(
+        rng, eligible, target, "removable storage gate", "is not a removable DFF", nearest_outputs
+    )
     dff = netlist.driver_of[target]
     src, dst = dff.inputs[0], dff.output
     if dst not in netlist.primary_outputs:
+        gates = _bypass(netlist, src, dst)
+    else:  # the storage drives a primary output: its sole source gate takes over the net
         gates = [
-            Gate(g.kind, tuple(src if i == dst else i for i in g.inputs), g.output)
+            Gate(g.kind, g.inputs, dst) if g.output == src else g
             for g in netlist.gates
             if g.output != target
         ]
-        return _rebuild(netlist, gates), FaultSpec(REMOVE_DFF, target, "removed")
-    # the storage drives a primary output: its sole source gate takes over the net
-    gates = [
-        Gate(g.kind, g.inputs, dst) if g.output == src else g
-        for g in netlist.gates
-        if g.output != target
-    ]
     return _rebuild(netlist, gates), FaultSpec(REMOVE_DFF, target, "removed")
 
 
@@ -118,20 +129,10 @@ def _remove_splitter(netlist: Netlist, rng: random.Random, target: str | None):
         and g.output not in netlist.primary_outputs
         and readers[g.output] >= 2
     ]
-    if target is None:
-        if not eligible:
-            raise FaultError("no bypassable splitter")
-        target = rng.choice(sorted(eligible))
-    elif target not in eligible:
-        raise FaultError(f"gate {target} is not a bypassable splitter")
-    sp = netlist.driver_of[target]
-    src, dst = sp.inputs[0], sp.output
-    gates = [
-        Gate(g.kind, tuple(src if i == dst else i for i in g.inputs), g.output)
-        for g in netlist.gates
-        if g.output != target
-    ]
-    pos = [src if po == dst else po for po in netlist.primary_outputs]
+    target = _pick(rng, eligible, target, "bypassable splitter", "is not a bypassable splitter")
+    src = netlist.driver_of[target].inputs[0]
+    pos = [src if po == target else po for po in netlist.primary_outputs]
+    gates = _bypass(netlist, src, target)
     return _rebuild(netlist, gates, pos), FaultSpec(REMOVE_SPLITTER, target, "bypassed")
 
 

@@ -11,7 +11,9 @@ wave of the specification corresponds to one matched step of the model.
 from dataclasses import dataclass, field
 
 from .errors import SfqlecError
-from .mcid import MCIDCircuit, MCIDGate, TimedSignal
+from .mcid import MCIDCircuit, TimedSignal, dependency_window
+from .netlist import Gate
+from .profiles import KINDS
 
 
 class ItclError(SfqlecError):
@@ -70,7 +72,7 @@ def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:
 
     replace: dict[TimedSignal, TimedSignal] = {}
     new_pins: list[TimedSignal] = []
-    chains: list[MCIDGate] = []
+    chains: list[Gate] = []
     for pin in mcid.timed_inputs:
         k = shifts[pin.net]
         if k == 0:
@@ -82,17 +84,18 @@ def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:
         prev = fed
         for j in range(1, k + 1):
             out = TimedSignal(base, pin.step - k + j)
-            chains.append(MCIDGate("BUF", (prev,), out, str(out)))
+            chains.append(Gate(KINDS["BUF"], (prev,), out))
             prev = out
         replace[pin] = prev
 
     gates = chains + [
-        MCIDGate(g.func, tuple(replace.get(i, i) for i in g.inputs), g.output, g.source_id)
-        for g in mcid.gates
+        Gate(g.kind, tuple(replace.get(i, i) for i in g.inputs), g.output) for g in mcid.gates
     ]
     outputs = {po: replace.get(sig, sig) for po, sig in mcid.outputs.items()}
     timed_inputs = tuple(sorted(new_pins))
-    return MCIDCircuit(mcid.source_name, mcid.source_pis, gates, timed_inputs, outputs)
+    return MCIDCircuit(
+        mcid.source_name, mcid.source_pis, gates, timed_inputs, outputs, mcid.duplicated_gate_count
+    )
 
 
 @dataclass
@@ -111,11 +114,9 @@ def match_inputs(mcid: MCIDCircuit, golden_pis: list[str]) -> InputMatching:
     """
     if not golden_pis:
         raise ItclError("specification has no primary inputs, so nothing to compare")
-    occurrences: dict[str, list[int]] = {}
-    for sig in mcid.timed_inputs:
-        occurrences.setdefault(sig.net, []).append(sig.step)
+    occurrences = dependency_window(mcid)
     for pi in golden_pis:
-        if pi not in occurrences:
+        if not occurrences.get(pi):
             raise ItclError(f"specification input {pi} is never sampled by the model")
 
     tally: dict[int, int] = {}

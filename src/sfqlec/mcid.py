@@ -11,11 +11,10 @@ storage elements keep their position in the unrolling but degrade to plain
 buffers, since the time shift is already explicit in the signal names.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
-from .netlist import Netlist, logic_levels
-from .profiles import RSFQ, TechnologyProfile
+from .netlist import Gate, Netlist, logic_levels
+from .profiles import KINDS, RSFQ, TechnologyProfile
 
 
 @dataclass(frozen=True, order=True)
@@ -27,32 +26,18 @@ class TimedSignal:
         return f"{self.net}@t{self.step}"
 
 
-@dataclass(frozen=True)
-class MCIDGate:
-    """One unrolled gate, named by its output signal."""
-
-    func: str  # combinational kind name; storage elements appear as BUF
-    inputs: tuple[TimedSignal, ...]
-    output: TimedSignal
-    source_id: str
-
-
 @dataclass
 class MCIDCircuit:
     source_name: str
     source_pis: tuple[str, ...]
-    gates: list[MCIDGate]
+    gates: list[Gate]  # over TimedSignal nets; storage elements appear as BUF
     timed_inputs: tuple[TimedSignal, ...]  # sorted: by net, then step
     outputs: dict[str, TimedSignal]  # source PO name -> timed signal at step 0
+    duplicated_gate_count: int = 0  # unrolled gates beyond one per source gate
 
     @property
     def gate_count(self) -> int:
         return len(self.gates)
-
-    @property
-    def duplicated_gate_count(self) -> int:
-        """How many gate instances exist beyond one copy per source gate."""
-        return len(self.gates) - len({g.source_id for g in self.gates})
 
     @property
     def window(self) -> tuple[int, int]:
@@ -60,17 +45,13 @@ class MCIDCircuit:
         steps = [s.step for s in self.timed_inputs]
         return (min(steps), max(steps)) if steps else (0, 0)
 
-    @cached_property
-    def producers(self) -> dict[TimedSignal, MCIDGate]:
-        return {g.output: g for g in self.gates}
-
     def to_bench(self) -> str:
         lines = [f"# MCID model of {self.source_name}"]
         lines += [f"INPUT({s})" for s in self.timed_inputs]
         lines += [f"OUTPUT({self.outputs[po]})" for po in self.outputs]
         for g in self.gates:
             args = ", ".join(str(s) for s in g.inputs)
-            lines.append(f"{g.output} = {g.func}({args})")
+            lines.append(f"{g.output} = {g.kind.name}({args})")
         return "\n".join(lines) + "\n"
 
 
@@ -82,7 +63,7 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
     """
     non_clocked = profile.non_clocked_kinds
     memo: dict[tuple[str, int], TimedSignal] = {}
-    gates: list[MCIDGate] = []
+    gates: list[Gate] = []
     pins: list[TimedSignal] = []
 
     for po in netlist.primary_outputs:
@@ -111,8 +92,8 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
             if ready:
                 sig = TimedSignal(net, t)
                 ins = tuple(memo[(i, t - dt)] for i in gate.inputs)
-                func = "BUF" if gate.kind.name == "DFF" else gate.kind.name
-                gates.append(MCIDGate(func, ins, sig, gate.output))
+                kind = KINDS["BUF"] if gate.kind.name == "DFF" else gate.kind
+                gates.append(Gate(kind, ins, sig))
                 memo[key] = sig
             else:
                 stack.append((net, t, True))
@@ -121,7 +102,11 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
 
     timed_inputs = tuple(sorted(set(pins)))
     outputs = {po: memo[(po, 0)] for po in netlist.primary_outputs}
-    return MCIDCircuit(netlist.name, tuple(netlist.primary_inputs), gates, timed_inputs, outputs)
+    del memo  # the largest table here; free it before counting source nets
+    duplicated = len(gates) - len({g.output.net for g in gates})
+    return MCIDCircuit(
+        netlist.name, tuple(netlist.primary_inputs), gates, timed_inputs, outputs, duplicated
+    )
 
 
 def dependency_window(mcid: MCIDCircuit) -> dict[str, tuple[int, ...]]:

@@ -30,7 +30,6 @@ from .errors import SfqlecError
 from .itcl import InputMatching, match_inputs
 from .mcid import MCIDCircuit
 from .netlist import Netlist
-from .profiles import KINDS
 from .sat import Budget, CdclSolver, cnf_from_aig
 from .trace import TimedTrace
 
@@ -74,9 +73,9 @@ class Verdict:
     per_output: dict[str, bool | None] | None = None
 
 
-def build_miter(
-    mcid: MCIDCircuit, golden: Netlist, matching: InputMatching | None = None
-) -> Miter:
+def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:
+    # matched first: an unsampled spec input is reported before a spec-shape error
+    matching = match_inputs(mcid, list(golden.primary_inputs))
     for g in golden.gates:
         if g.kind.name in ("DFF", "SPLIT"):
             raise MiterError(
@@ -87,13 +86,11 @@ def build_miter(
     if want != have:
         missing = sorted(want ^ have)
         raise MiterError(f"output names differ between model and spec: {', '.join(missing)}")
-    if matching is None:
-        matching = match_inputs(mcid, list(golden.primary_inputs))
 
     aig = Aig()
     edge = {pin: aig.input_(pin) for pin in mcid.timed_inputs}
     for g in mcid.gates:
-        edge[g.output] = KINDS[g.func].meaning(aig, *[edge[i] for i in g.inputs])
+        edge[g.output] = g.kind.meaning(aig, *[edge[i] for i in g.inputs])
     gold = {pi: edge[matching.matched[pi]] for pi in golden.primary_inputs}
     for g in golden.order:
         gold[g.output] = g.kind.meaning(aig, *[gold[i] for i in g.inputs])
@@ -148,7 +145,8 @@ def _lex_min_model(
 
 def _decide_root(aig: Aig, root: int, stats: VerdictStats, budget: Budget, seed):
     """Decide one miter root: (equivalent, a distinguishing model or None,
-    the main solve's (cnf, solver) pair when that solve found the model)."""
+    the main solve's (cnf, solver) pair when that solve found the model).
+    Solver work adds to `stats`; the CNF size is the largest so far."""
     if root == FALSE:
         stats.method = "structural"
         return True, None, None
@@ -169,14 +167,14 @@ def _decide_root(aig: Aig, root: int, stats: VerdictStats, budget: Budget, seed)
             return False, {lbl: (vals[lbl] >> bit) & 1 for lbl in labels}, None
 
     cnf = cnf_from_aig(aig, root)
-    stats.cnf_vars = cnf.num_vars
-    stats.cnf_clauses = len(cnf.clauses)
+    stats.cnf_vars = max(stats.cnf_vars, cnf.num_vars)
+    stats.cnf_clauses = max(stats.cnf_clauses, len(cnf.clauses))
     solver = CdclSolver(cnf.num_vars, cnf.clauses)
     status, m = solver.solve(budget=budget)
     stats.method = "sat"
-    stats.decisions = solver.stats.decisions
-    stats.conflicts = solver.stats.conflicts
-    stats.propagations = solver.stats.propagations
+    stats.decisions += solver.stats.decisions
+    stats.conflicts += solver.stats.conflicts
+    stats.propagations += solver.stats.propagations
     if status == "unknown":
         return None, None, None
     if status == "unsat":
@@ -206,15 +204,8 @@ def check_equivalence(
     per: dict[str, bool | None] = {}
     witness = None
     for po, root in roots.items():
-        sub = VerdictStats()
-        equivalent, model, sat = _decide_root(aig, root, sub, budget, seed)
+        equivalent, model, sat = _decide_root(aig, root, stats, budget, seed)
         per[po] = equivalent
-        stats.method = sub.method
-        stats.decisions += sub.decisions
-        stats.conflicts += sub.conflicts
-        stats.propagations += sub.propagations
-        stats.cnf_vars = max(stats.cnf_vars, sub.cnf_vars)
-        stats.cnf_clauses = max(stats.cnf_clauses, sub.cnf_clauses)
         if witness is None and equivalent is False:
             witness = root, model, sat
 

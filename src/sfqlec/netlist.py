@@ -6,6 +6,7 @@ one pipeline stage deep.  Which kinds count as clocked is decided by the
 technology profile alone.
 """
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 import heapq
 import re
@@ -41,11 +42,12 @@ def evaluate_kind(name: str, args: list[int], mask: int = 1) -> int:
 
 @dataclass(frozen=True)
 class Gate:
-    """One single-output gate, named by the net it drives."""
+    """One single-output gate, named by the net it drives.  A net is any
+    hashable name: a str in a netlist, a TimedSignal in an MCID model."""
 
     kind: GateKind
-    inputs: tuple[str, ...]
-    output: str
+    inputs: tuple[Hashable, ...]
+    output: Hashable
 
 
 # Names: letters/underscore first, then the bench charset plus '@' and '-'
@@ -221,13 +223,6 @@ def logic_levels(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> dict[st
         step = 0 if g.kind.name in non_clocked else 1
         levels[g.output] = max(levels[net] for net in g.inputs) + step
     return levels
-
-
-def logic_level(netlist: Netlist, net: str, profile: TechnologyProfile = RSFQ) -> int:
-    levels = logic_levels(netlist, profile)
-    if net not in levels:
-        raise NetlistError(f"unknown net {net!r}")
-    return levels[net]
 
 
 def circuit_depth(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> int:

@@ -2,9 +2,10 @@
 
 Both run one synchronous recurrence: a clocked gate's output at cycle t+1
 is its function applied to cycle-t inputs (all state starts at 0), a
-transparent gate settles within the cycle.  simulate() feeds it single-bit
-waves; replay_trace() re-runs a counterexample trace against the netlist to
-confirm it is real.
+transparent gate settles within the cycle, and an input that arrives k
+cycles late reads at cycle t the wave fed at cycle t-k.  simulate() feeds
+it single-bit waves; replay_trace() re-runs a counterexample trace against
+the netlist, under the trace's arrival schedule, to confirm it is real.
 
 exhaustive_equivalence() enumerates every assignment of the model's full
 input grid (one variable per primary input per window step) in one
@@ -42,13 +43,21 @@ def format_wave(wave: dict[str, int], order) -> str:
     return " ".join(f"{pi}={wave.get(pi, 0)}" for pi in order)
 
 
-def _cycles(netlist: Netlist, waves, profile: TechnologyProfile, mask: int = 1):
-    """Yield every net's values for each input wave in turn, one per cycle."""
+def _cycles(
+    netlist: Netlist, waves: list, profile: TechnologyProfile, mask: int = 1, shifts=None
+):
+    """Yield every net's values for each cycle in turn, one wave fed per
+    cycle; an input with shift k reads the wave fed k cycles earlier (0
+    before the first)."""
     non_clocked = profile.non_clocked_kinds
+    shifts = shifts or {}
     alg = Bits(mask)
     prev: dict[str, int] = {}
-    for wave in waves:
-        cur = {pi: wave.get(pi, 0) & mask for pi in netlist.primary_inputs}
+    for t in range(len(waves)):
+        cur = {}
+        for pi in netlist.primary_inputs:
+            s = t - shifts.get(pi, 0)
+            cur[pi] = waves[s].get(pi, 0) & mask if s >= 0 else 0
         for g in netlist.order:
             src = cur if g.kind.name in non_clocked else prev
             cur[g.output] = g.kind.meaning(alg, *[src.get(i, 0) for i in g.inputs])
@@ -92,14 +101,19 @@ def replay_trace(
     golden: Netlist,
     trace: TimedTrace,
     profile: TechnologyProfile = RSFQ,
+    schedule: ArrivalSchedule | None = None,
 ) -> bool:
     """True when both halves of the trace reproduce: the netlist really emits
     mcid_output at the observation cycle and the spec really emits
-    golden_output on the matched wave.  Expects an unshifted model's trace."""
-    waves = [trace.wave(k) for k in range(trace.n_cycles)]
-    extra = max(trace.observation_cycle + 1 - len(waves), 0)
-    seen = simulate(netlist, waves, profile, extra_cycles=extra)
-    if seen[trace.observation_cycle][trace.output_name] != trace.mcid_output:
+    golden_output on the matched wave.  `schedule` is the arrival schedule
+    the trace's model was built under, if any."""
+    n = trace.observation_cycle + 1
+    fed = [trace.wave(k) for k in range(min(n, trace.n_cycles))]
+    fed += [{}] * (n - len(fed))
+    shifts = schedule.shifts(netlist.primary_inputs) if schedule is not None else None
+    for cur in _cycles(netlist, fed, profile, shifts=shifts):
+        pass
+    if cur[trace.output_name] != trace.mcid_output:
         return False
     gold = evaluate_golden(golden, trace.golden_assignment)
     return gold[trace.output_name] == trace.golden_output
@@ -128,7 +142,7 @@ def exhaustive_equivalence(
     verdict matches the miter's.
     """
     mcid = build_mcid(netlist, profile)
-    shifts = {pi: 0 for pi in netlist.primary_inputs}
+    shifts = None
     if schedule is not None:
         mcid = apply_itcl(mcid, schedule)
         shifts = schedule.shifts(mcid.source_pis)
@@ -146,13 +160,10 @@ def exhaustive_equivalence(
         h = 1 << j
         grid[cell] = (((1 << n) - 1) // ((1 << h) + 1)) << h
 
-    # a shifted input's raw consumption at step s sees the external wave
-    # that entered shift cycles earlier
     waves = [
-        {pi: grid.get((pi, s - shifts[pi]), 0) for pi in netlist.primary_inputs}
-        for s in range(earliest, 1)
+        {pi: grid.get((pi, s), 0) for pi in netlist.primary_inputs} for s in range(earliest, 1)
     ]
-    for cur in _cycles(netlist, waves, profile, mask):
+    for cur in _cycles(netlist, waves, profile, mask, shifts):
         pass
 
     gold = evaluate_golden(

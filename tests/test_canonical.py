@@ -17,7 +17,6 @@ from sfqlec import (
     check_equivalence,
     extract_trace,
     inject,
-    match_inputs,
     replay_trace,
 )
 from sfqlec.errors import SfqlecError
@@ -32,7 +31,7 @@ RSFQ = builtin_profile("rsfq")
 
 def make_miter(impl, golden):
     mcid = build_mcid(impl, RSFQ)
-    return build_miter(mcid, golden, match_inputs(mcid, list(golden.primary_inputs)))
+    return build_miter(mcid, golden)
 
 
 def as_wires(pipe: Netlist) -> Netlist:

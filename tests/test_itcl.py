@@ -64,7 +64,7 @@ def test_late_input_gets_buffer_chain():
     assert dependency_window(shifted)["a"] == (-5,)
     # one buffer per shifted pin; original gates untouched
     assert shifted.gate_count == mcid.gate_count + 2
-    chain = [g for g in shifted.gates if g.func == "BUF" and ".itcl." in str(g.output)]
+    chain = [g for g in shifted.gates if g.kind.name == "BUF" and ".itcl." in str(g.output)]
     assert {str(g.output) for g in chain} == {"d.itcl.t-5@t-5", "d.itcl.t-4@t-4"}
     assert {str(g.inputs[0]) for g in chain} == {"d@t-6", "d@t-5"}
     # chain buffers are their own source, so duplication stays put
@@ -93,7 +93,7 @@ def test_consumers_read_the_chain_not_the_pin():
     pins = set(shifted.timed_inputs)
     for g in shifted.gates:
         for src in g.inputs:
-            assert src in pins or src in shifted.producers
+            assert src in pins or src in {h.output for h in shifted.gates}
 
 
 def test_match_prefers_the_step_with_most_pins():

@@ -76,8 +76,8 @@ def test_late_arrival_dependency_window():
 def test_storage_becomes_buffer_and_splitters_vanish():
     mcid = build_mcid(late_d_netlist(), RSFQ)
     by_name = {str(g.output): g for g in mcid.gates}
-    assert by_name["mD@t-1"].func == "BUF"
-    assert by_name["r1@t-4"].func == "BUF"
+    assert by_name["mD@t-1"].kind.name == "BUF"
+    assert by_name["r1@t-4"].kind.name == "BUF"
     # mD reads through the msp splitter straight to m
     assert [str(s) for s in by_name["mD@t-1"].inputs] == ["m@t-2"]
     assert [str(s) for s in by_name["r1@t-4"].inputs] == ["d@t-5"]
@@ -107,7 +107,7 @@ def test_deep_cone_duplication_and_bound():
     faulty, _ = inject(src, "remove-dff", target="fA")
     mcid = build_mcid(faulty, RSFQ)
     assert mcid.gate_count == 16
-    assert len({g.source_id for g in mcid.gates}) == 9
+    assert len({g.output.net for g in mcid.gates}) == 9
     assert mcid.duplicated_gate_count == 7
     assert mcid_size_upper_bound(src, ["fA"], RSFQ) == 15
 

@@ -18,12 +18,12 @@ from sfqlec import (
     builtin_profile,
     check_equivalence,
     exhaustive_equivalence,
-    match_inputs,
     parse_netlist,
     replay_trace,
 )
 from sfqlec.aig import FALSE, TRUE
 from sfqlec.miter import MiterError
+from sfqlec.sim import SimError
 
 RSFQ = builtin_profile("rsfq")
 
@@ -39,8 +39,7 @@ def make_miter(netlist, golden, schedule=None, profile=RSFQ):
     mcid = build_mcid(netlist, profile)
     if schedule is not None:
         mcid = apply_itcl(mcid, schedule)
-    matching = match_inputs(mcid, list(golden.primary_inputs))
-    return build_miter(mcid, golden, matching)
+    return build_miter(mcid, golden)
 
 
 def test_late_arrival_is_inequivalent_with_canonical_trace():
@@ -157,3 +156,26 @@ def test_agrees_with_exhaustive_on_random_pipelines(profile_name):
             assert replay_trace(impl, golden, verdict.trace, profile), seed
         checked += 1
     assert checked == 60
+
+
+@pytest.mark.parametrize("profile_name", ["rsfq", "aqfp", "cmos"])
+def test_arrival_traces_replay_and_agree_with_exhaustive(profile_name):
+    profile = builtin_profile(profile_name)
+    checked = replayed = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        comb = random_comb(rng, n_pis=rng.randint(2, 4), n_gates=rng.randint(2, 8))
+        impl = sfqify(comb)
+        golden = comb if rng.random() < 0.4 else mutate_comb(rng, comb)
+        schedule = ArrivalSchedule({pi: rng.randint(0, 2) for pi in impl.primary_inputs})
+        try:
+            want = exhaustive_equivalence(impl, golden, profile, schedule=schedule, max_bits=12)
+        except SimError:  # input grid too wide to enumerate
+            continue
+        verdict = check_equivalence(make_miter(impl, golden, schedule, profile))
+        assert verdict.equivalent == want.equivalent, seed
+        if verdict.equivalent is False:
+            assert replay_trace(impl, golden, verdict.trace, profile, schedule), seed
+            replayed += 1
+        checked += 1
+    assert checked >= 40 and replayed >= 35
