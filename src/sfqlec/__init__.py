@@ -26,19 +26,11 @@ from .netlist import (
     circuit_depth,
     logic_levels,
     parse_netlist,
-    topological_order,
     write_netlist,
 )
 from .profiles import TechnologyProfile, builtin_profile, load_profile, resolve_profile
 from .sat import CdclSolver, Cnf, cnf_from_aig, to_dimacs
-from .sim import (
-    ExhaustiveResult,
-    evaluate_golden,
-    exhaustive_equivalence,
-    parse_wave,
-    replay_trace,
-    simulate,
-)
+from .sim import evaluate_golden, exhaustive_equivalence, parse_wave, replay_trace, simulate
 from .trace import TimedTrace
 
 __version__ = "0.1.0"
@@ -49,7 +41,6 @@ __all__ = [
     "CdclSolver",
     "CheckReport",
     "Cnf",
-    "ExhaustiveResult",
     "FAULT_KINDS",
     "FaultSpec",
     "Gate",
@@ -90,7 +81,6 @@ __all__ = [
     "resolve_profile",
     "simulate",
     "to_dimacs",
-    "topological_order",
     "write_netlist",
     "__version__",
 ]

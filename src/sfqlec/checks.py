@@ -1,6 +1,6 @@
 """Structural validation: fanout restriction and path balancing.
 
-Both checks run in one pass over the netlist.  Path balancing works on base
+Each check is its own pass over the netlist.  Path balancing works on base
 distance sets: for each net, the set of clocked-gate path lengths from any
 primary input down to that net.  A correctly balanced circuit has a singleton
 set at every gate fanin (the same data wave arrives on all pins together) and

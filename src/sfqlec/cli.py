@@ -22,6 +22,7 @@ from .netlist import parse_netlist, write_netlist
 from .profiles import resolve_profile
 from .sat import cnf_from_aig, to_dimacs
 from .sim import parse_wave, simulate
+from .trace import format_wave
 
 EXIT_EQUIVALENT = 0
 EXIT_INEQUIVALENT = 1
@@ -200,8 +201,7 @@ def cmd_simulate(args) -> int:
         waves.append(wave)
     seen = simulate(netlist, waves, profile, extra_cycles=args.extra)
     for k, outs in enumerate(seen):
-        bits = " ".join(f"{po}={outs[po]}" for po in netlist.primary_outputs)
-        print(f"CYCLE {k}: {bits}")
+        print(f"CYCLE {k}: {format_wave(outs, netlist.primary_outputs)}")
     return EXIT_EQUIVALENT
 
 

@@ -10,17 +10,13 @@ import random
 from dataclasses import dataclass
 
 from .errors import SfqlecError
-from .netlist import Gate, Netlist, count_readers, get_kind, logic_levels
+from .netlist import Gate, Netlist, count_readers, logic_levels
+from .profiles import KINDS
 
 SWAP_GATE = "swap-gate"
 REMOVE_DFF = "remove-dff"
 REMOVE_SPLITTER = "remove-splitter"
 FAULT_KINDS = (SWAP_GATE, REMOVE_DFF, REMOVE_SPLITTER)
-
-_SWAP_POOL = {
-    1: ("BUF", "INV"),
-    2: ("AND2", "NAND2", "NOR2", "OR2", "XNOR2", "XOR2"),
-}
 
 
 class FaultError(SfqlecError):
@@ -71,10 +67,10 @@ def _swap_gate(netlist: Netlist, rng: random.Random, target: str | None):
     eligible = [g.output for g in netlist.gates if g.kind.name not in ("DFF", "SPLIT")]
     target = _pick(rng, eligible, target, "swappable gate", "cannot be swapped")
     old = netlist.driver_of[target]
-    pool = [k for k in _SWAP_POOL[old.kind.arity] if k != old.kind.name]
-    new_kind = rng.choice(pool)
+    same_arity = sorted(n for n, k in KINDS.items() if k.arity == old.kind.arity)
+    new_kind = rng.choice([n for n in same_arity if n not in ("DFF", "SPLIT", old.kind.name)])
     gates = [
-        Gate(get_kind(new_kind), g.inputs, g.output) if g.output == target else g
+        Gate(KINDS[new_kind], g.inputs, g.output) if g.output == target else g
         for g in netlist.gates
     ]
     return _rebuild(netlist, gates), FaultSpec(SWAP_GATE, target, f"{old.kind.name}->{new_kind}")

@@ -16,6 +16,12 @@ from .netlist import Gate
 from .profiles import KINDS
 
 
+# Largest relative lateness accepted, in cycles.  apply_itcl builds one
+# buffer per cycle of lateness for each shifted pin, so an unbounded value
+# would let one schedule entry ask for billions of gates.
+MAX_LATENESS = 1024
+
+
 class ItclError(SfqlecError):
     pass
 
@@ -56,10 +62,15 @@ class ArrivalSchedule:
                 raise ItclError(f"arrival of {name} is negative ({cycles})")
 
     def shifts(self, pis: tuple[str, ...]) -> dict[str, int]:
-        """Relative shift per input: its lateness above the earliest one."""
+        """Relative shift per input: its lateness above the earliest one, at
+        most MAX_LATENESS."""
         self.validate(pis)
         t_min = min((self.lateness.get(pi, 0) for pi in pis), default=0)
-        return {pi: self.lateness.get(pi, 0) - t_min for pi in pis}
+        shifts = {pi: self.lateness.get(pi, 0) - t_min for pi in pis}
+        for pi, k in shifts.items():
+            if k > MAX_LATENESS:
+                raise ItclError(f"arrival of {pi} is {k} cycles late, limit is {MAX_LATENESS}")
+        return shifts
 
 
 def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:

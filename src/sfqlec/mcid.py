@@ -13,7 +13,7 @@ buffers, since the time shift is already explicit in the signal names.
 
 from dataclasses import dataclass
 
-from .netlist import Gate, Netlist, logic_levels
+from .netlist import Gate, Netlist, bench_text, logic_levels
 from .profiles import KINDS, RSFQ, TechnologyProfile
 
 
@@ -46,13 +46,8 @@ class MCIDCircuit:
         return (min(steps), max(steps)) if steps else (0, 0)
 
     def to_bench(self) -> str:
-        lines = [f"# MCID model of {self.source_name}"]
-        lines += [f"INPUT({s})" for s in self.timed_inputs]
-        lines += [f"OUTPUT({self.outputs[po]})" for po in self.outputs]
-        for g in self.gates:
-            args = ", ".join(str(s) for s in g.inputs)
-            lines.append(f"{g.output} = {g.kind.name}({args})")
-        return "\n".join(lines) + "\n"
+        body = bench_text(self.timed_inputs, self.outputs.values(), self.gates)
+        return f"# MCID model of {self.source_name}\n{body}"
 
 
 def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircuit:

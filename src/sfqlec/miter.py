@@ -23,13 +23,13 @@ large to canonicalize (`_CANON_CAP`) say "capped".
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .aig import Aig, FALSE, TRUE
 from .errors import SfqlecError
 from .itcl import InputMatching, match_inputs
 from .mcid import MCIDCircuit
-from .netlist import Netlist
+from .netlist import Netlist, first_pipeline_cell
 from .sat import Budget, CdclSolver, cnf_from_aig
 from .trace import TimedTrace
 
@@ -76,11 +76,11 @@ class Verdict:
 def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:
     # matched first: an unsampled spec input is reported before a spec-shape error
     matching = match_inputs(mcid, list(golden.primary_inputs))
-    for g in golden.gates:
-        if g.kind.name in ("DFF", "SPLIT"):
-            raise MiterError(
-                f"golden specification must be combinational, found {g.kind.name} gate {g.output}"
-            )
+    g = first_pipeline_cell(golden)
+    if g is not None:
+        raise MiterError(
+            f"golden specification must be combinational, found {g.kind.name} gate {g.output}"
+        )
     want = set(golden.primary_outputs)
     have = set(mcid.outputs)
     if want != have:
@@ -225,7 +225,7 @@ def check_equivalence(
 
 def extract_trace(miter: Miter, model: dict) -> TimedTrace:
     """Turn a distinguishing assignment into a cycle-by-cycle trace."""
-    aig, mcid = miter.aig, miter.mcid
+    aig = miter.aig
     failing = None
     bits = (0, 0)
     for po in miter.golden.primary_outputs:
@@ -236,16 +236,4 @@ def extract_trace(miter: Miter, model: dict) -> TimedTrace:
             break
     if failing is None:
         raise MiterError("assignment does not distinguish the two sides")
-    earliest, latest = mcid.window
-    timed = {(p.net, p.step - earliest): model.get(p, 0) for p in mcid.timed_inputs}
-    golden_assign = {pi: model.get(sig, 0) for pi, sig in miter.matching.matched.items()}
-    return TimedTrace(
-        pi_order=mcid.source_pis,
-        n_cycles=latest - earliest + 1,
-        timed_assignment=timed,
-        golden_assignment=golden_assign,
-        output_name=failing,
-        mcid_output=bits[0],
-        golden_output=bits[1],
-        observation_cycle=-earliest,
-    )
+    return TimedTrace.from_model(miter.mcid, miter.matching, model, failing, bits)

@@ -12,7 +12,7 @@ import heapq
 import re
 
 from .errors import SfqlecError
-from .profiles import KINDS, RSFQ, Bits, GateKind, TechnologyProfile
+from .profiles import KINDS, RSFQ, GateKind, TechnologyProfile
 
 
 class NetlistError(SfqlecError):
@@ -32,12 +32,6 @@ def get_kind(name: str) -> GateKind:
     if kind is None:
         raise NetlistError(f"unknown gate kind {name!r}")
     return kind
-
-
-def evaluate_kind(name: str, args: list[int], mask: int = 1) -> int:
-    """Bitwise evaluation of one gate function on `mask`-wide bit-vectors
-    (mask=1 for plain bits).  DFF/SPLIT/BUF are identities here."""
-    return get_kind(name).meaning(Bits(mask), *args)
 
 
 @dataclass(frozen=True)
@@ -187,19 +181,25 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
     return Netlist(name=name, primary_inputs=tuple(pis), primary_outputs=tuple(pos), gates=tuple(gates))
 
 
-def write_netlist(netlist: Netlist) -> str:
-    """Emit bench text: INPUTs, OUTPUTs, then gates in topological order."""
-    lines = [f"INPUT({n})" for n in netlist.primary_inputs]
-    lines += [f"OUTPUT({n})" for n in netlist.primary_outputs]
-    for g in netlist.order:
-        lines.append(f"{g.output} = {g.kind.name}({', '.join(g.inputs)})")
+def bench_text(inputs, outputs, gates) -> str:
+    """Bench text: INPUTs, OUTPUTs, then the gates in the order given; any
+    net name is written as its str()."""
+    lines = [f"INPUT({n})" for n in inputs]
+    lines += [f"OUTPUT({n})" for n in outputs]
+    for g in gates:
+        lines.append(f"{g.output} = {g.kind.name}({', '.join(map(str, g.inputs))})")
     return "\n".join(lines) + "\n"
 
 
-def topological_order(netlist: Netlist) -> list[str]:
-    """Gate output nets in the netlist's topological order (ties broken by
-    output net)."""
-    return [g.output for g in netlist.order]
+def write_netlist(netlist: Netlist) -> str:
+    """Emit bench text with the gates in topological order."""
+    return bench_text(netlist.primary_inputs, netlist.primary_outputs, netlist.order)
+
+
+def first_pipeline_cell(netlist: Netlist) -> Gate | None:
+    """The first DFF or SPLIT in `netlist.gates`: a combinational
+    specification holds neither."""
+    return next((g for g in netlist.gates if g.kind.name in ("DFF", "SPLIT")), None)
 
 
 def count_readers(netlist: Netlist) -> dict[str, int]:

@@ -4,22 +4,22 @@ Both run one synchronous recurrence: a clocked gate's output at cycle t+1
 is its function applied to cycle-t inputs (all state starts at 0), a
 transparent gate settles within the cycle, and an input that arrives k
 cycles late reads at cycle t the wave fed at cycle t-k.  simulate() feeds
-it single-bit waves; replay_trace() re-runs a counterexample trace against
-the netlist, under the trace's arrival schedule, to confirm it is real.
+it single-bit waves; evaluate_golden() feeds a specification one wave;
+replay_trace() re-runs a counterexample trace against the netlist, under
+the trace's arrival schedule, to confirm it is real.
 
 exhaustive_equivalence() enumerates every assignment of the model's full
 input grid (one variable per primary input per window step) in one
-bit-parallel pass, using wide ints as 2^bits parallel simulation lanes.
+bit-parallel pass, using wide ints as 2^bits parallel simulation lanes,
+and returns its counterexample as the same TimedTrace the miter gives.
 """
-
-from dataclasses import dataclass
 
 from .errors import SfqlecError
 from .itcl import ArrivalSchedule, apply_itcl, match_inputs
-from .mcid import build_mcid
-from .netlist import Netlist, circuit_depth
-from .profiles import RSFQ, Bits, TechnologyProfile
-from .trace import TimedTrace
+from .mcid import TimedSignal, build_mcid
+from .netlist import Netlist, circuit_depth, first_pipeline_cell
+from .profiles import RSFQ, Bits, TechnologyProfile, builtin_profile
+from .trace import TimedTrace, format_wave  # format_wave stays importable from here
 
 
 class SimError(SfqlecError):
@@ -37,10 +37,6 @@ def parse_wave(line: str) -> dict[str, int]:
             raise SimError(f"duplicate wave entry for {name}")
         wave[name] = int(bit)
     return wave
-
-
-def format_wave(wave: dict[str, int], order) -> str:
-    return " ".join(f"{pi}={wave.get(pi, 0)}" for pi in order)
 
 
 def _cycles(
@@ -86,13 +82,12 @@ def simulate(
 
 
 def evaluate_golden(netlist: Netlist, assignment: dict[str, int], mask: int = 1) -> dict[str, int]:
-    """Evaluate a combinational specification netlist (storage is rejected)."""
-    alg = Bits(mask)
-    values = {pi: assignment.get(pi, 0) & mask for pi in netlist.primary_inputs}
-    for g in netlist.order:
-        if g.kind.name == "DFF":
-            raise SimError(f"specification netlist holds state (DFF {g.output})")
-        values[g.output] = g.kind.meaning(alg, *[values[i] for i in g.inputs])
+    """Evaluate a combinational specification netlist (a DFF or SPLIT is
+    rejected): one wave under the cmos clocking, where only DFF is clocked."""
+    g = first_pipeline_cell(netlist)
+    if g is not None:
+        raise SimError(f"specification netlist must be combinational ({g.kind.name} {g.output})")
+    (values,) = _cycles(netlist, [assignment], builtin_profile("cmos"), mask)
     return {po: values[po] for po in netlist.primary_outputs}
 
 
@@ -119,27 +114,19 @@ def replay_trace(
     return gold[trace.output_name] == trace.golden_output
 
 
-@dataclass
-class ExhaustiveResult:
-    equivalent: bool
-    output_name: str | None = None
-    model: dict[tuple[str, int], int] | None = None  # (pi, step) -> bit
-    mcid_output: int | None = None
-    golden_output: int | None = None
-
-
 def exhaustive_equivalence(
     netlist: Netlist,
     golden: Netlist,
     profile: TechnologyProfile = RSFQ,
     schedule: ArrivalSchedule | None = None,
     max_bits: int = 24,
-) -> ExhaustiveResult:
+) -> TimedTrace | None:
     """Check every grid assignment at once; only viable for small windows.
+    Returns a counterexample trace, or None when the two are equivalent.
 
     The grid covers all (primary input, window step) cells, including cells
     the model never samples; those are don't-cares on both sides, so the
-    verdict matches the miter's.
+    verdict matches the miter's and the trace keeps only sampled pins.
     """
     mcid = build_mcid(netlist, profile)
     shifts = None
@@ -149,32 +136,27 @@ def exhaustive_equivalence(
     matching = match_inputs(mcid, list(golden.primary_inputs))
     earliest, latest = mcid.window
     steps = range(earliest, latest + 1)
-    cells = [(pi, s) for pi in netlist.primary_inputs for s in steps]
+    cells = [TimedSignal(pi, s) for pi in netlist.primary_inputs for s in steps]
     bits = len(cells)
     if bits > max_bits:
         raise SimError(f"input grid needs {bits} bits, limit is {max_bits}")
     n = 1 << bits
     mask = (1 << n) - 1
-    grid: dict[tuple[str, int], int] = {}
+    grid: dict[TimedSignal, int] = {}
     for j, cell in enumerate(cells):
         h = 1 << j
         grid[cell] = (((1 << n) - 1) // ((1 << h) + 1)) << h
 
-    waves = [
-        {pi: grid.get((pi, s), 0) for pi in netlist.primary_inputs} for s in range(earliest, 1)
-    ]
+    waves = [{c.net: v for c, v in grid.items() if c.step == s} for s in range(earliest, 1)]
     for cur in _cycles(netlist, waves, profile, mask, shifts):
         pass
 
-    gold = evaluate_golden(
-        golden,
-        {pi: grid[(pi, matching.matched[pi].step)] for pi in golden.primary_inputs},
-        mask,
-    )
+    gold = evaluate_golden(golden, {pi: grid[sig] for pi, sig in matching.matched.items()}, mask)
     for po in golden.primary_outputs:
         diff = cur[po] ^ gold[po]
         if diff:
             b = (diff & -diff).bit_length() - 1
             model = {cell: (b >> j) & 1 for j, cell in enumerate(cells)}
-            return ExhaustiveResult(False, po, model, (cur[po] >> b) & 1, (gold[po] >> b) & 1)
-    return ExhaustiveResult(True)
+            outs = (cur[po] >> b) & 1, (gold[po] >> b) & 1
+            return TimedTrace.from_model(mcid, matching, model, po, outs)
+    return None

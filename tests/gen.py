@@ -8,7 +8,7 @@ operator table, and adders are checked against integer arithmetic.
 
 import random
 
-from sfqlec import Gate, Netlist, parse_netlist, topological_order
+from sfqlec import Gate, Netlist, parse_netlist
 from sfqlec.netlist import get_kind
 
 _TWO_IN = ("AND2", "OR2", "XOR2", "NAND2", "NOR2", "XNOR2")
@@ -127,7 +127,7 @@ def sfqify(comb: Netlist, name: str | None = None) -> Netlist:
             delay_cache[key] = out
         return delay_cache[key]
 
-    for gid in topological_order(comb):
+    for gid in [g.output for g in comb.order]:
         g = comb.driver_of[gid]
         assert g.kind.name not in ("DFF", "SPLIT"), "source must be combinational"
         lv = 1 + max(levels[i] for i in g.inputs)

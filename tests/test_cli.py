@@ -8,6 +8,7 @@ from circuits import (
 )
 from sfqlec import parse_netlist, write_netlist
 from sfqlec.cli import main
+from sfqlec.itcl import MAX_LATENESS
 
 GOLDEN_REDUCED_BENCH = "INPUT(p)\nINPUT(q)\nOUTPUT(a2)\na2 = BUF(p)\n"
 
@@ -315,6 +316,23 @@ def test_bad_arrivals_are_a_config_error(work, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "build-mcid"])
+def test_lateness_above_the_limit_is_a_config_error(work, capsys, command):
+    args = [command, work / "late_d.bench"]
+    if command == "verify":
+        args.append(work / "late_d_golden.bench")
+    code, _, err = run(capsys, *args, "--arrivals", f"d:{MAX_LATENESS}")
+    assert code in (0, 1), err
+    for arrivals in (f"d:{MAX_LATENESS + 1}", "a:99999999999,b:0"):
+        code, _, err = run(capsys, *args, "--arrivals", arrivals)
+        assert code == 2, arrivals
+        assert err.endswith(f"cycles late, limit is {MAX_LATENESS}\n"), err
+    # only the relative lateness counts: a uniform huge schedule is a no-op
+    uniform = ",".join(f"{pi}:99999999999" for pi in "abcd")
+    code, _, _ = run(capsys, *args, "--arrivals", uniform)
+    assert code in (0, 1)
 
 
 @pytest.mark.parametrize(

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from gen import random_comb, random_pipeline
-from sfqlec import Netlist, NetlistError, parse_netlist, write_netlist, topological_order
+from sfqlec import Netlist, NetlistError, parse_netlist, write_netlist
 from sfqlec.netlist import (
     BenchParseError,
     Gate,
     circuit_depth,
-    evaluate_kind,
     get_kind,
     logic_levels,
 )
+from sfqlec.profiles import Bits
 
 SMALL = """
 # two-stage sample
@@ -56,7 +56,7 @@ def test_topological_order_respects_dependencies():
         rng = random.Random(100 + seed)
         net = random_comb(rng, n_pis=3, n_gates=rng.randint(2, 12))
         seen = set(net.primary_inputs)
-        for gid in topological_order(net):
+        for gid in [g.output for g in net.order]:
             g = net.driver_of[gid]
             assert all(i in seen for i in g.inputs), gid
             seen.add(g.output)
@@ -93,13 +93,13 @@ def test_logic_levels_on_a_chain():
     ],
 )
 def test_evaluate_kind_single_bits(kind, args, want):
-    assert evaluate_kind(kind, args, mask=1) == want
+    assert get_kind(kind).meaning(Bits(1), *args) == want
 
 
 def test_evaluate_kind_is_bitwise():
     mask = (1 << 8) - 1
-    assert evaluate_kind("AND2", [0b10110011, 0b11010101], mask) == 0b10010001
-    assert evaluate_kind("INV", [0b10110011], mask) == 0b01001100
+    assert get_kind("AND2").meaning(Bits(mask), 0b10110011, 0b11010101) == 0b10010001
+    assert get_kind("INV").meaning(Bits(mask), 0b10110011) == 0b01001100
 
 
 def test_get_kind_rejects_unknown():
@@ -138,7 +138,7 @@ def test_validation_rejects_bad_graphs():
                 Gate(kinds[1], ("y",), "z"),
             ),
         )
-        topological_order(loop)
+        loop.order
 
 
 def test_cycle_rejected_even_through_dff():
@@ -146,7 +146,7 @@ def test_cycle_rejected_even_through_dff():
     # a function of inputs only, so DFF feedback is rejected too
     with pytest.raises(NetlistError):
         net = parse_netlist("INPUT(a)\nOUTPUT(q)\nq = DFF(d)\nd = AND2(a, q)\n")
-        topological_order(net)
+        net.order
 
 
 def test_write_netlist_emits_topological_gate_order():

@@ -1,0 +1,128 @@
+"""Pinned report bytes: `verify` and `build-mcid` output must not drift.
+
+Criterion 8 only compares a run with its own rerun; these literals catch a
+change that alters every run alike.  After a deliberate report change,
+regenerate a pin by running the same command (the `run` calls below) and
+pasting its stdout, or for the adder case printing
+`sha256(stdout + trace file)`, and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from circuits import LATE_D_BENCH, LATE_D_GOLDEN_BENCH
+from gen import kogge_stone_adder, ripple_adder, sfqify
+from sfqlec import inject, write_netlist
+from sfqlec.cli import main
+
+LATE_D_VERIFY = """\
+netlist late_d
+golden late_d_golden
+profile rsfq
+mcid-gates 12
+mcid-duplicated 0
+window -5..-4
+matched-step -5
+verdict inequivalent
+method simulation
+aig-nodes 16
+cnf-vars 0
+cnf-clauses 0
+decisions 0
+conflicts 0
+propagations 0
+canon-sat-calls 3
+trace-canonical yes
+CYCLE 0: a=0 b=1 c=1 d=0
+CYCLE 1: a=0 b=0 c=0 d=1
+GOLDEN: a=0 b=1 c=1 d=0
+OUTPUT out: impl=1 golden=0
+"""
+
+LATE_D_VERIFY_D1 = """\
+netlist late_d
+golden late_d_golden
+profile rsfq
+mcid-gates 14
+mcid-duplicated 0
+window -6..-5
+matched-step -5
+verdict equivalent
+method sat
+aig-nodes 14
+cnf-vars 13
+cnf-clauses 25
+decisions 2
+conflicts 2
+propagations 11
+canon-sat-calls 0
+"""
+
+LATE_D_MCID_D2 = """\
+# MCID model of late_d
+INPUT(a@t-5)
+INPUT(b@t-5)
+INPUT(c@t-5)
+INPUT(d@t-7)
+INPUT(d@t-6)
+OUTPUT(out@t0)
+d.itcl.t-5@t-6 = BUF(d@t-7)
+d.itcl.t-5@t-5 = BUF(d.itcl.t-5@t-6)
+d.itcl.t-4@t-5 = BUF(d@t-6)
+d.itcl.t-4@t-4 = BUF(d.itcl.t-4@t-5)
+na@t-4 = INV(a@t-5)
+bD@t-4 = BUF(b@t-5)
+t1@t-3 = AND2(na@t-4, bD@t-4)
+cD@t-4 = BUF(c@t-5)
+t2@t-3 = AND2(cD@t-4, d.itcl.t-4@t-4)
+m@t-2 = AND2(t1@t-3, t2@t-3)
+mD@t-1 = BUF(m@t-2)
+r1@t-4 = BUF(d.itcl.t-5@t-5)
+r2@t-3 = BUF(r1@t-4)
+r3@t-2 = BUF(r2@t-3)
+orm@t-1 = OR2(m@t-2, r3@t-2)
+out@t0 = AND2(mD@t-1, orm@t-1)
+"""
+
+# sha256 of stdout + trace file for a swap-gate fault in sfqify(ks16)
+# checked against ripple16 (the case tests/test_bench_spans.py traces)
+KS16_SWAP_SHA256 = "53515be71d1851b7e77676ddf4ae4f41222bfcbf9a35d6d154c2807cf5391835"
+
+
+@pytest.fixture()
+def work(tmp_path):
+    (tmp_path / "late_d.bench").write_text(LATE_D_BENCH)
+    (tmp_path / "late_d_golden.bench").write_text(LATE_D_GOLDEN_BENCH)
+    return tmp_path
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr().out
+
+
+def test_late_d_verify_report_is_pinned(work, capsys):
+    args = ("verify", work / "late_d.bench", work / "late_d_golden.bench")
+    assert run(capsys, *args) == (1, LATE_D_VERIFY)
+    assert run(capsys, *args, "--arrivals", "d:1") == (0, LATE_D_VERIFY_D1)
+
+
+def test_late_d_model_dump_is_pinned(work, capsys):
+    assert run(capsys, "build-mcid", work / "late_d.bench", "--arrivals", "d:2") == (
+        0,
+        LATE_D_MCID_D2,
+    )
+
+
+def test_faulted_adder_report_and_trace_are_pinned(tmp_path, capsys):
+    impl, _ = inject(sfqify(kogge_stone_adder(16)), "swap-gate", seed=0)
+    (tmp_path / "impl.bench").write_text(write_netlist(impl))
+    (tmp_path / "spec.bench").write_text(write_netlist(ripple_adder(16)))
+    trace = tmp_path / "t.trace"
+    code, out = run(
+        capsys, "verify", tmp_path / "impl.bench", tmp_path / "spec.bench", "--trace", trace
+    )
+    assert code == 1
+    digest = hashlib.sha256((out + trace.read_text()).encode()).hexdigest()
+    assert digest == KS16_SWAP_SHA256

@@ -115,20 +115,31 @@ def test_exhaustive_equivalence_tiny_cases():
     impl = parse_netlist("INPUT(a)\nOUTPUT(y)\ny = DFF(a)\n")
     gold_buf = parse_netlist("INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n")
     gold_inv = parse_netlist("INPUT(a)\nOUTPUT(y)\ny = INV(a)\n")
-    assert exhaustive_equivalence(impl, gold_buf, RSFQ).equivalent
+    assert exhaustive_equivalence(impl, gold_buf, RSFQ) is None
     res = exhaustive_equivalence(impl, gold_inv, RSFQ)
-    assert not res.equivalent
+    assert res is not None
     assert res.output_name == "y"
     assert res.mcid_output != res.golden_output
-    bit = res.model[("a", -1)]
+    bit = res.timed_assignment[("a", 0)]
     assert res.mcid_output == bit and res.golden_output == 1 - bit
+    assert replay_trace(impl, gold_inv, res, RSFQ)
 
 
 def test_exhaustive_respects_arrival_schedule():
     impl, gold = late_d_netlist(), late_d_golden()
-    assert not exhaustive_equivalence(impl, gold, RSFQ).equivalent
+    assert exhaustive_equivalence(impl, gold, RSFQ) is not None
     sched = ArrivalSchedule.parse("d:1")
-    assert exhaustive_equivalence(impl, gold, RSFQ, schedule=sched).equivalent
+    assert exhaustive_equivalence(impl, gold, RSFQ, schedule=sched) is None
+
+
+def test_exhaustive_rejects_a_spec_that_verify_rejects():
+    # a SPLIT in the spec is refused by build_miter; the oracle must agree
+    impl = parse_netlist(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nad = DFF(a)\nbd = DFF(b)\ny = AND2(ad, bd)\n"
+    )
+    gold = parse_netlist("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nas = SPLIT(a)\ny = AND2(as, b)\n")
+    with pytest.raises(SimError):
+        exhaustive_equivalence(impl, gold, RSFQ)
 
 
 def test_exhaustive_grid_size_guard():
