@@ -57,8 +57,8 @@ class Aig:
     def label(self, node_index: int):
         return self.nodes[node_index][1]
 
-    def evaluate(self, values: dict, roots: list[int], mask: int = 1) -> list[int]:
-        """Bitwise-parallel evaluation; values may carry any int width."""
+    def simulate(self, values: dict, mask: int = 1) -> list[int]:
+        """Every node's value, bitwise-parallel; values may carry any int width."""
         val = [mask]
         for node in self.nodes[1:]:
             if node[0] == "in":
@@ -68,6 +68,11 @@ class Aig:
                 va = val[a >> 1] ^ (mask if a & 1 else 0)
                 vb = val[b >> 1] ^ (mask if b & 1 else 0)
                 val.append(va & vb)
+        return val
+
+    def evaluate(self, values: dict, roots: list[int], mask: int = 1) -> list[int]:
+        """Bitwise-parallel values of `roots`; values may carry any int width."""
+        val = self.simulate(values, mask)
         return [val[r >> 1] ^ (mask if r & 1 else 0) for r in roots]
 
     def cone(self, roots: list[int]) -> tuple[list[int], list[int]]:

@@ -15,10 +15,10 @@ import time
 from .checks import check_fanout, check_path_balance
 from .errors import SfqlecError
 from .faults import FAULT_KINDS, inject
-from .itcl import ArrivalSchedule, apply_itcl
+from .itcl import MAX_LATENESS, ArrivalSchedule, apply_itcl
 from .mcid import build_mcid
 from .miter import build_miter, check_equivalence
-from .netlist import parse_netlist, write_netlist
+from .netlist import circuit_depth, parse_netlist, write_netlist
 from .profiles import resolve_profile
 from .sat import cnf_from_aig, to_dimacs
 from .sim import parse_wave, simulate
@@ -150,6 +150,8 @@ def cmd_verify(args) -> int:
         f"propagations {s.propagations}",
         f"canon-sat-calls {s.canon_sat_calls}",
     ]
+    if s.sweep_proved is not None:
+        lines += [f"sweep-proved {s.sweep_proved}", f"sweep-refuted {s.sweep_refuted}"]
     if verdict.trace is not None:
         lines.append(f"trace-canonical {s.trace_canonical}")
     if verdict.per_output is not None:
@@ -189,6 +191,11 @@ def cmd_inject_fault(args) -> int:
 def cmd_simulate(args) -> int:
     netlist = _load(args.netlist)
     profile = resolve_profile(args.profile)
+    if args.extra is not None:
+        # netlists are acyclic: past their depth, cycles only repeat the flushed outputs
+        limit = max(circuit_depth(netlist, profile), MAX_LATENESS)
+        if args.extra > limit:
+            raise SfqlecError(f"--extra {args.extra} is above the limit of {limit} cycles")
     waves = []
     for raw in _read(args.waves).splitlines():
         line = raw.split("#", 1)[0].strip()

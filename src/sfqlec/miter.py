@@ -3,23 +3,34 @@
 Both sides are built into one shared and-inverter graph; matched input pins
 are literally the same AIG variable, so a model whose unrolled logic is
 structurally identical to the spec collapses to constant FALSE before any
-solving.  Otherwise a seeded random-simulation pre-pass looks for an easy
-disagreement, and a CDCL run settles the rest.
+solving.  Otherwise a seeded random-simulation pre-pass (`_SIM_ROUNDS`
+words of `_SIM_WIDTH` bits) looks for an easy disagreement.
+
+What simulation leaves open is SAT-swept (Mishchenko, Chatterjee, Jiang,
+Brayton, "FRAIGs", 2005; Mishchenko et al., "Improvements to Combinational
+Equivalence Checking", ICCAD 2006) on one incremental solver; see `_Sweep`.
+In node order, each node of the open roots' cones is rebuilt in a fresh
+strashed graph and proved equal to the first node of its signature class
+under assumptions; only a solver "unsat" merges a pair.  A root whose
+rebuilt edge is constant FALSE is equivalent (method "sweep"); any other
+is decided by one final solve of its rebuilt edge (method "sat").
+Counterexamples are built from, and evaluated on, the original graph.
 
 Counterexample models are canonicalized to the lexicographically smallest
 satisfying assignment (inputs ordered by name, then step, preferring 0), so
 witnesses do not depend on solver internals or on which pass found them.
 The greedy pass walks the cone inputs in that order.  A bit already 0 stays
 0; a set bit is first flipped to 0 and the root re-evaluated, and only when
-that loses the disagreement does one incremental solver per root (the main
-solve's, when there was one) answer whether some assignment extends the
-fixed prefix with a 0, under assumptions.
+that loses the disagreement does one incremental solver per root answer
+whether some assignment extends the fixed prefix with a 0, under
+assumptions: the sweep's solver when its final solve found the witness,
+else a fresh one over the root's CNF.
 
-One `Budget` of conflicts and seconds covers the main solve of every root
-and every canonicalization call.  When it runs out during canonicalization
-the current, valid but not minimal, witness is kept, and
-`VerdictStats.trace_canonical` says "budget" instead of "yes"; cones too
-large to canonicalize (`_CANON_CAP`) say "capped".
+One `Budget` of conflicts and seconds covers every sweep call, the final
+solve of every root and every canonicalization call.  When it runs out
+during canonicalization the current, valid but not minimal, witness is
+kept, and `VerdictStats.trace_canonical` says "budget" instead of "yes";
+cones too large to canonicalize (`_CANON_CAP`) say "capped".
 """
 
 import random
@@ -35,6 +46,8 @@ from .trace import TimedTrace
 
 _SIM_ROUNDS = 8
 _SIM_WIDTH = 64
+_SWEEP_BITS = 512  # random signature bits the sweep adds to the simulation's
+_PAIR_CONFLICTS = 100  # conflicts one sweep query may spend
 _CANON_CAP = 2_000_000
 
 
@@ -62,6 +75,8 @@ class VerdictStats:
     conflicts: int = 0
     propagations: int = 0
     canon_sat_calls: int = 0
+    sweep_proved: int | None = None  # None when no sweep ran
+    sweep_refuted: int | None = None
     trace_canonical: str = ""  # "yes", "capped" or "budget" when there is a trace
 
 
@@ -111,7 +126,9 @@ def _lex_min_model(
 ) -> dict:
     """Fix cone inputs to 0 in order wherever the root stays satisfiable.
 
-    `sat` is the root's (cnf, solver) pair if the main solve built one.
+    `sat` is (solver, label -> variable, assumptions asserting the root)
+    when the decision already has a solver; otherwise the root's own CNF
+    is built on first need.
     """
     ins, ands = aig.cone([root])
     if len(ins) * max(1, len(ands)) > _CANON_CAP:
@@ -128,58 +145,201 @@ def _lex_min_model(
         cur[lbl] = 1
         if sat is None:
             cnf = cnf_from_aig(aig, root)
-            sat = cnf, CdclSolver(cnf.num_vars, cnf.clauses)
-        cnf, solver = sat
-        var_of = cnf.input_vars
+            sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars, []
+        solver, var_of, base = sat
         prefix = [var_of[l] if cur[l] else -var_of[l] for l in labels[:k]]
-        status, m = solver.solve(prefix + [-var_of[lbl]], budget)
+        status, m = solver.solve(base + prefix + [-var_of[lbl]], budget)
         stats.canon_sat_calls += 1
         if status == "unknown":
             stats.trace_canonical = "budget"
             return cur
         if status == "sat":
-            cur = {l: int(m[v]) for l, v in var_of.items()}
+            cur = {l: int(m[var_of[l]]) for l in labels}
     stats.trace_canonical = "yes"
     return cur
 
 
-def _decide_root(aig: Aig, root: int, stats: VerdictStats, budget: Budget, seed):
-    """Decide one miter root: (equivalent, a distinguishing model or None,
-    the main solve's (cnf, solver) pair when that solve found the model).
-    Solver work adds to `stats`; the CNF size is the largest so far."""
+def _patterns(labels: list, seed, extra: int = 0):
+    """Seeded random input words, one round at a time: (width, label ->
+    word) for `_SIM_ROUNDS` rounds of `_SIM_WIDTH` bits, then `extra` bits."""
+    rng = random.Random(seed)
+    for _ in range(_SIM_ROUNDS):
+        yield _SIM_WIDTH, {lbl: rng.getrandbits(_SIM_WIDTH) for lbl in labels}
+    if extra:
+        yield extra, {lbl: rng.getrandbits(extra) for lbl in labels}
+
+
+def _simulate_root(aig: Aig, root: int, stats: VerdictStats, seed):
+    """(equivalent, distinguishing model or None, None) when the root is
+    constant or the random patterns set it; None when the sweep decides."""
     if root == FALSE:
         stats.method = "structural"
         return True, None, None
     if root == TRUE:
         stats.method = "structural"
         return False, {}, None
-
     ins, _ = aig.cone([root])
     labels = sorted(aig.label(i) for i in ins)
-    rng = random.Random(seed)
-    mask = (1 << _SIM_WIDTH) - 1
-    for _ in range(_SIM_ROUNDS):
-        vals = {lbl: rng.getrandbits(_SIM_WIDTH) for lbl in labels}
-        (res,) = aig.evaluate(vals, [root], mask=mask)
+    for width, words in _patterns(labels, seed):
+        (res,) = aig.evaluate(words, [root], mask=(1 << width) - 1)
         if res:
             bit = (res & -res).bit_length() - 1
             stats.method = "simulation"
-            return False, {lbl: (vals[lbl] >> bit) & 1 for lbl in labels}, None
+            return False, {lbl: (words[lbl] >> bit) & 1 for lbl in labels}, None
+    return None
 
-    cnf = cnf_from_aig(aig, root)
-    stats.cnf_vars = max(stats.cnf_vars, cnf.num_vars)
-    stats.cnf_clauses = max(stats.cnf_clauses, len(cnf.clauses))
-    solver = CdclSolver(cnf.num_vars, cnf.clauses)
-    status, m = solver.solve(budget=budget)
-    stats.method = "sat"
-    stats.decisions += solver.stats.decisions
-    stats.conflicts += solver.stats.conflicts
-    stats.propagations += solver.stats.propagations
-    if status == "unknown":
-        return None, None, None
-    if status == "unsat":
-        return True, None, None
-    return False, {lbl: int(m[var]) for lbl, var in cnf.input_vars.items()}, (cnf, solver)
+
+class _Sweep:
+    """SAT sweeping of the cones of some miter roots on one solver.
+
+    Every node gets a signature: its value under the random patterns.
+    Nodes whose signatures agree up to complement form a class, headed by
+    its lowest node.  In node order each node is rebuilt, through
+    `Aig.and_`, in a fresh graph (the fraig) from its fanins' fraig edges,
+    and proved equal to its class head's edge by two solver calls under
+    assumptions, each capped at `_PAIR_CONFLICTS` conflicts inside the
+    decide-phase budget.  A proved pair is merged: its two clauses go in at
+    level 0 and the node takes the head's edge, so structural hashing
+    merges what is built on it.  A call that gives up leaves the node
+    unmerged.  A refuting model and each of its distance-1 neighbours
+    become new signature bits, which split the class.  Fraig nodes are
+    Tseitin-encoded into the solver when first needed.
+    """
+
+    def __init__(self, aig: Aig, roots: list[int], seed, stats: VerdictStats, budget: Budget):
+        self.aig, self.stats, self.budget = aig, stats, budget
+        self.fraig = Aig()
+        self.solver = CdclSolver()
+        self.var: dict[int, int] = {}  # fraig node -> solver variable
+        self.input_var: dict = {}  # input label -> solver variable
+        ins, ands = aig.cone(roots)
+        self.labels = sorted(aig.label(i) for i in ins)
+        # the simulation's rounds are the low bits, so a sweep of one root
+        # starts from what simulation saw of it
+        words, self.width = dict.fromkeys(self.labels, 0), 0
+        for width, part in _patterns(self.labels, seed, _SWEEP_BITS):
+            for lbl in self.labels:
+                words[lbl] |= part[lbl] << self.width
+            self.width += width
+        self.sig = aig.simulate(words, (1 << self.width) - 1)
+        self.edge = {0: TRUE}  # original node -> fraig edge
+        stats.sweep_proved = stats.sweep_refuted = 0
+        self._run(sorted(ins + ands))
+
+    def _key(self, n: int) -> int:
+        s = self.sig[n]
+        return s ^ ((1 << self.width) - 1) if s & 1 else s
+
+    def _run(self, order: list[int]) -> None:
+        aig, fraig, edge = self.aig, self.fraig, self.edge
+        heads = {0: 0}  # signature key -> first node of its class
+        for n in order:
+            node = aig.nodes[n]
+            if node[0] == "in":
+                e = fraig.input_(node[1])
+            else:
+                a, b = node[1], node[2]
+                e = fraig.and_(edge[a >> 1] ^ (a & 1), edge[b >> 1] ^ (b & 1))
+            while True:
+                key = self._key(n)
+                r = heads.setdefault(key, n)
+                if r == n:
+                    break
+                want = edge[r] ^ ((self.sig[n] ^ self.sig[r]) & 1)
+                if e == want:
+                    break
+                status = self._prove(e, want)
+                if status == "unsat":
+                    e = want
+                if status != "sat":
+                    break
+                heads = {self._key(h): h for h in heads.values()}
+            edge[n] = e
+
+    def _lit(self, edge: int) -> int:
+        """The solver literal of a fraig edge, encoding its cone on first use."""
+        fraig, var = self.fraig, self.var
+        stack = [edge >> 1]
+        while stack:
+            i = stack[-1]
+            if i in var:
+                stack.pop()
+                continue
+            node = fraig.nodes[i]
+            if node[0] == "and":
+                todo = [c >> 1 for c in node[1:] if c >> 1 not in var]
+                if todo:
+                    stack += todo
+                    continue
+            stack.pop()
+            v = var[i] = len(var) + 1
+            if node[0] == "in":
+                self.input_var[node[1]] = v
+            elif node[0] == "and":
+                la, lb = (-var[c >> 1] if c & 1 else var[c >> 1] for c in node[1:])
+                for clause in ((-v, la), (-v, lb), (v, -la, -lb)):
+                    self.solver.add_clause(clause)
+                self.stats.cnf_clauses += 3
+        v = var[edge >> 1]
+        return -v if edge & 1 else v
+
+    def _prove(self, e: int, want: int) -> str:
+        """Try to prove a node's fraig edge `e` equal to `want`, its class
+        head's: "unsat" merges them, "sat" splits the class, "unknown"
+        gives up."""
+        if self.budget.exhausted():
+            return "unknown"
+        if want >> 1 == 0:
+            queries = [[self._lit(e ^ want ^ 1)]]
+        else:
+            x, y = self._lit(e), self._lit(want)
+            queries = [[x, -y], [-x, y]]
+        for q in queries:
+            status, model = self.solver.solve(q, self.budget, _PAIR_CONFLICTS)
+            if status == "sat":
+                self.stats.sweep_refuted += 1
+                self._refine(model)
+            if status != "unsat":
+                return status
+        for q in queries:
+            self.solver.add_clause([-l for l in q])
+            self.stats.cnf_clauses += 1
+        self.stats.sweep_proved += 1
+        return "unsat"
+
+    def _refine(self, model: dict) -> None:
+        """Append a refuting model (bit 0) and its distance-1 neighbours
+        (bit j flips the j-th input) as new signature bits."""
+        k = len(self.labels) + 1
+        words = {}
+        for j, lbl in enumerate(self.labels, 1):
+            v = self.input_var.get(lbl)
+            words[lbl] = ((1 << k) - 1 if v and model[v] else 0) ^ (1 << j)
+        new = self.aig.simulate(words, (1 << k) - 1)
+        self.sig = [s | (w << self.width) for s, w in zip(self.sig, new)]
+        self.width += k
+
+    def decide(self, root: int):
+        """(equivalent or None, distinguishing model or None, the solver
+        setup `_lex_min_model` takes) for a root: constant FALSE after the
+        sweep, or one solve of its fraig edge."""
+        e = self.edge[root >> 1] ^ (root & 1)
+        if e == FALSE:
+            self.stats.method = "sweep"
+            return True, None, None
+        self.stats.method = "sat"
+        if self.budget.exhausted():
+            return None, None, None
+        status, model = self.solver.solve([self._lit(e)], self.budget)
+        if status != "sat":
+            return (None if status == "unknown" else True), None, None
+        ins, _ = self.aig.cone([root])
+        var_of = {}
+        for i in ins:
+            lbl = self.aig.label(i)
+            var_of[lbl] = self._lit(self.fraig.input_(lbl))
+        model = {lbl: int(model.get(v, False)) for lbl, v in var_of.items()}
+        return False, model, (self.solver, var_of, [self._lit(e)])
 
 
 def check_equivalence(
@@ -191,8 +351,8 @@ def check_equivalence(
 ) -> Verdict:
     """Decide the miter, or each output's part of it with `per_output`.
 
-    The limits bound the whole decide phase: all main solves and the
-    canonicalization of the trace.
+    The limits bound the whole decide phase: the sweep, the final solves
+    and the canonicalization of the trace.
     """
     aig = miter.aig
     budget = Budget.start(max_conflicts, max_seconds)
@@ -201,13 +361,20 @@ def check_equivalence(
         roots = {po: miter.outputs[po][2] for po in miter.golden.primary_outputs}
     else:
         roots = {None: miter.root}
+    found = {po: _simulate_root(aig, root, stats, seed) for po, root in roots.items()}
+    open_roots = [root for po, root in roots.items() if found[po] is None]
+    sweep = _Sweep(aig, open_roots, seed, stats, budget) if open_roots else None
     per: dict[str, bool | None] = {}
     witness = None
     for po, root in roots.items():
-        equivalent, model, sat = _decide_root(aig, root, stats, budget, seed)
+        equivalent, model, sat = found[po] or sweep.decide(root)
         per[po] = equivalent
         if witness is None and equivalent is False:
             witness = root, model, sat
+    if sweep is not None:
+        s = sweep.solver.stats
+        stats.cnf_vars = sweep.solver.nv
+        stats.decisions, stats.conflicts, stats.propagations = s.decisions, s.conflicts, s.propagations
 
     if witness is not None:
         root, model, sat = witness

@@ -11,8 +11,18 @@ literals first, one decision level each, and answers "unsat" for that call
 alone when one of them is forced false.  Every call returns at decision
 level 0, and learned clauses are derived from the clauses only, never from
 the assumptions, so learned clauses, activities and saved phases carry over
-to the next call.  A `Budget` bounds the conflicts and wall-clock time of a
-whole sequence of calls, across solvers.
+to the next call.  Between calls, `add_clause` adds a clause at level 0:
+literals already false there are dropped, a clause already true is
+skipped, and a unit is propagated at once.  A variable exists from the
+first clause or assumption that names it, so a caller can encode a
+formula piece by piece as its calls need it.  A `Budget` bounds the
+conflicts and wall-clock time of a whole sequence of calls, across
+solvers, and `solve(..., max_conflicts=k)` caps one call inside it.
+
+Decisions come from MiniSat's indexed binary heap of variables, ordered
+by activity (highest first) and then by index (lowest first).  Assigned
+variables leave it lazily, when popped, and return on backtracking, so
+every decision is the one a scan of all free variables would make.
 """
 
 import time
@@ -102,25 +112,104 @@ class CdclSolver:
     """Conflict-driven clause learning over two watched literals.
 
     1-UIP learning, additive activity bumps with periodic halving, phase
-    saving.  `stats` accumulates over all calls.
+    saving, decisions from an indexed heap.  `stats` accumulates over all
+    calls.
     """
 
-    def __init__(self, num_vars: int, clauses):
-        self.nv = num_vars
+    def __init__(self, num_vars: int = 0, clauses=()):
+        self.nv = 0
         self.stats = SolverStats()
         self.clauses: list[list[int]] = []
         self.watches: dict[int, list[int]] = {}
-        self.value = [0] * (num_vars + 1)  # 0 free, 1 true, -1 false
-        self.level = [0] * (num_vars + 1)
-        self.reason: list = [None] * (num_vars + 1)
-        self.activity = [0] * (num_vars + 1)
-        self.phase = [False] * (num_vars + 1)
+        self.value = [0]  # 0 free, 1 true, -1 false
+        self.level = [0]
+        self.reason: list = [None]
+        self.activity = [0]
+        self.phase = [False]
+        # decision heap: every free variable, and maybe some set ones,
+        # highest activity first, then lowest index
+        self.heap: list[int] = []
+        self.heap_pos = [-1]  # variable -> index in heap, -1 when absent
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.ok = True
+        self._grow(num_vars)
         for c in clauses:
-            self._add_clause(list(c))
+            self.add_clause(c)
+
+    def _grow(self, num_vars: int) -> None:
+        k = num_vars - self.nv
+        if k <= 0:
+            return
+        self.value += [0] * k
+        self.level += [0] * k
+        self.reason += [None] * k
+        self.activity += [0] * k
+        self.phase += [False] * k
+        # activity 0 and the highest indices: the heap's last places
+        self.heap_pos += range(len(self.heap), len(self.heap) + k)
+        self.heap += range(self.nv + 1, num_vars + 1)
+        self.nv = num_vars
+
+    def _sift_up(self, i: int) -> None:
+        heap, pos, act = self.heap, self.heap_pos, self.activity
+        v = heap[i]
+        a = act[v]
+        while i:
+            parent = (i - 1) >> 1
+            p = heap[parent]
+            if a < act[p] or (a == act[p] and v > p):
+                break
+            heap[i] = p
+            pos[p] = i
+            i = parent
+        heap[i] = v
+        pos[v] = i
+
+    def _sift_down(self, i: int) -> None:
+        heap, pos, act = self.heap, self.heap_pos, self.activity
+        n = len(heap)
+        v = heap[i]
+        a = act[v]
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            c = heap[child]
+            if child + 1 < n:
+                d = heap[child + 1]
+                if act[d] > act[c] or (act[d] == act[c] and d < c):
+                    child, c = child + 1, d
+            if act[c] < a or (act[c] == a and c > v):
+                break
+            heap[i] = c
+            pos[c] = i
+            i = child
+        heap[i] = v
+        pos[v] = i
+
+    def _insert(self, v: int) -> None:
+        self.heap_pos[v] = len(self.heap)
+        self.heap.append(v)
+        self._sift_up(len(self.heap) - 1)
+
+    def _decide(self) -> int:
+        """Pop the heap to its best free variable; 0 when every one is set."""
+        if len(self.trail) == self.nv:
+            return 0
+        heap, pos = self.heap, self.heap_pos
+        while heap:
+            v = heap[0]
+            last = heap.pop()
+            pos[v] = -1
+            if heap:
+                heap[0] = last
+                pos[last] = 0
+                self._sift_down(0)
+            if self.value[v] == 0:
+                return v
+        return 0
 
     def _val(self, lit: int) -> int:
         v = self.value[abs(lit)]
@@ -140,61 +229,76 @@ class CdclSolver:
         self.trail.append(lit)
         return True
 
-    def _add_clause(self, lits: list[int]) -> None:
+    def add_clause(self, lits) -> None:
+        """Add a clause at decision level 0, that is, between calls.
+
+        Literals false at level 0 are dropped and a clause already true
+        there is skipped.  A clause left with one literal is propagated at
+        once; one left with none, or a propagation that conflicts, makes
+        the solver unsat for good (`ok` False).
+        """
         lits = sorted(set(lits), key=lambda l: (abs(l), l))
-        if any(-l in lits for l in lits):
-            return  # tautology
+        if lits:
+            self._grow(abs(lits[-1]))
+        if not self.ok or any(-l in lits or self._val(l) == 1 for l in lits):
+            return  # unsat for good already, a tautology, or true at level 0
+        if self.trail:  # drop literals false at level 0
+            lits = [l for l in lits if self._val(l) == 0]
         if not lits:
             self.ok = False
-            return
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], None):
+        elif len(lits) == 1:
+            self._enqueue(lits[0], None)
+            if self._propagate() is not None:
                 self.ok = False
-            return
-        ci = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches.setdefault(lits[0], []).append(ci)
-        self.watches.setdefault(lits[1], []).append(ci)
+        else:
+            ci = len(self.clauses)
+            self.clauses.append(lits)
+            self.watches.setdefault(lits[0], []).append(ci)
+            self.watches.setdefault(lits[1], []).append(ci)
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
+        value, clauses, watches, trail = self.value, self.clauses, self.watches, self.trail
+        lvl = len(self.trail_lim)
+        while self.qhead < len(trail):
+            lit = trail[self.qhead]
             self.qhead += 1
             self.stats.propagations += 1
             neg = -lit
-            ws = self.watches.get(neg)
+            ws = watches.get(neg)
             if not ws:
                 continue
             i = j = 0
-            while i < len(ws):
+            n = len(ws)
+            while i < n:
                 ci = ws[i]
                 i += 1
-                c = self.clauses[ci]
+                c = clauses[ci]
                 if c[0] == neg:
                     c[0], c[1] = c[1], c[0]
-                if self._val(c[0]) == 1:
+                first = c[0]
+                fv = value[first] if first > 0 else -value[-first]
+                if fv == 1:
                     ws[j] = ci
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(c)):
-                    if self._val(c[k]) != -1:
-                        c[1], c[k] = c[k], c[1]
-                        self.watches.setdefault(c[1], []).append(ci)
-                        moved = True
+                    q = c[k]
+                    if (value[q] if q > 0 else -value[-q]) != -1:
+                        c[1], c[k] = q, c[1]
+                        watches.setdefault(q, []).append(ci)
                         break
-                if moved:
-                    continue
-                ws[j] = ci
-                j += 1
-                if self._val(c[0]) == -1:
-                    while i < len(ws):
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    return ci
-                self._enqueue(c[0], ci)
+                else:
+                    ws[j] = ci
+                    j += 1
+                    if fv == -1:
+                        ws[j:] = ws[i:]
+                        return ci
+                    v = first if first > 0 else -first
+                    value[v] = 1 if first > 0 else -1
+                    self.level[v] = lvl
+                    self.reason[v] = ci
+                    self.phase[v] = first > 0
+                    trail.append(first)
             del ws[j:]
         return None
 
@@ -212,6 +316,8 @@ class CdclSolver:
                 if v not in seen and self.level[v] > 0:
                     seen.add(v)
                     self.activity[v] += 1
+                    if self.heap_pos[v] >= 0:
+                        self._sift_up(self.heap_pos[v])
                     if self.level[v] >= cur:
                         counter += 1
                     else:
@@ -238,22 +344,18 @@ class CdclSolver:
             v = abs(self.trail.pop())
             self.value[v] = 0
             self.reason[v] = None
+            if self.heap_pos[v] < 0:
+                self._insert(v)
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
 
-    def _decide(self) -> int:
-        best, best_act = 0, -1
-        for v in range(1, self.nv + 1):
-            if self.value[v] == 0 and self.activity[v] > best_act:
-                best, best_act = v, self.activity[v]
-        return best
-
-    def solve(self, assumptions=(), budget: Budget | None = None):
+    def solve(self, assumptions=(), budget: Budget | None = None, max_conflicts: int | None = None):
         """Returns ("sat", model) / ("unsat", None) / ("unknown", None).
 
         "unsat" under assumptions means no model extends them; the solver
         stays usable.  A call given an exhausted `budget` returns "unknown"
-        at once; without one, the search is unlimited.
+        at once; without one, the search is unlimited.  `max_conflicts`
+        caps this call alone, inside `budget`.
         """
         if not self.ok:
             return "unsat", None
@@ -261,12 +363,15 @@ class CdclSolver:
             budget = Budget()
         elif budget.exhausted():
             return "unknown", None
-        result = self._search(list(assumptions), budget)
+        assumptions = list(assumptions)
+        self._grow(max(map(abs, assumptions), default=0))
+        limit = None if max_conflicts is None else self.stats.conflicts + max_conflicts
+        result = self._search(assumptions, budget, limit)
         if self.trail_lim:
             self._backtrack(0)
         return result
 
-    def _search(self, assumptions: list[int], budget: Budget):
+    def _search(self, assumptions: list[int], budget: Budget, limit: int | None):
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -275,7 +380,7 @@ class CdclSolver:
                 if not self.trail_lim:
                     self.ok = False
                     return "unsat", None
-                if budget.exhausted():
+                if budget.exhausted() or (limit is not None and self.stats.conflicts >= limit):
                     return "unknown", None
                 learnt, lvl = self._analyze(confl)
                 self._backtrack(lvl)
@@ -290,6 +395,8 @@ class CdclSolver:
                 self.stats.learned += 1
                 if self.stats.conflicts % 256 == 0:
                     self.activity = [a >> 1 for a in self.activity]
+                    for i in reversed(range(len(self.heap) // 2)):
+                        self._sift_down(i)  # halving can tie, and ties go by index
             elif len(self.trail_lim) < len(assumptions):
                 lit = assumptions[len(self.trail_lim)]
                 if self._val(lit) == -1:

@@ -335,3 +335,44 @@ def adder_assignment(n_bits: int, x: int, y: int, cin: int) -> dict[str, int]:
 def adder_value(outs: dict[str, int], n_bits: int) -> int:
     total = sum(outs[f"s{i}"] << i for i in range(n_bits))
     return total + (outs["cout"] << n_bits)
+
+
+# -------------------------------------------------------------------- parity
+
+
+def parity_members(j: int, n_inputs: int = 32) -> list[int]:
+    """Inputs of parity output j: those whose index has bit j % 5 set
+    (j < 5) or clear (j >= 5); 16 of 32 each, as in a SEC code's checks."""
+    return [i for i in range(n_inputs) if ((i >> (j % 5)) & 1) != (j >= 5)]
+
+
+def parity_pair(n_outputs: int = 8, n_inputs: int = 32) -> tuple[Netlist, Netlist]:
+    """(xor form, nand form) of the same parity outputs: chains of XOR2 over
+    each output's inputs in index order, and the same chains with each XOR2
+    expanded to four NAND2s.  This is how ISCAS'85 c1355 relates to c499."""
+    forms = []
+    for nand in (False, True):
+        lines = [f"INPUT(x{i})" for i in range(n_inputs)]
+        lines += [f"OUTPUT(y{j})" for j in range(n_outputs)]
+        for j in range(n_outputs):
+            first, *rest = parity_members(j, n_inputs)
+            acc = f"x{first}"
+            for k, i in enumerate(rest, 1):
+                out = f"y{j}" if k == len(rest) else f"p{j}_{k}"
+                if nand:
+                    lines += [
+                        f"{out}_t = NAND2({acc}, x{i})",
+                        f"{out}_u = NAND2({acc}, {out}_t)",
+                        f"{out}_v = NAND2(x{i}, {out}_t)",
+                        f"{out} = NAND2({out}_u, {out}_v)",
+                    ]
+                else:
+                    lines.append(f"{out} = XOR2({acc}, x{i})")
+                acc = out
+        forms.append(parse_netlist("\n".join(lines) + "\n", name="parity_nand" if nand else "parity_xor"))
+    return forms[0], forms[1]
+
+
+def parity_value(assignment: dict[str, int], j: int, n_inputs: int = 32) -> int:
+    return sum(assignment.get(f"x{i}", 0) for i in parity_members(j, n_inputs)) & 1
+

@@ -191,7 +191,13 @@ def test_report_says_how_the_trace_was_reached(tmp_path, capsys):
     ]
     code, lines = verify_lines(tmp_path, capsys, LATE_D_BENCH, LATE_D_GOLDEN_BENCH, "--arrivals", "d:1")
     assert code == 0
-    assert lines[-3:] == ["conflicts 2", "propagations 11", "canon-sat-calls 0"]
+    assert lines[-5:] == [
+        "conflicts 1",
+        "propagations 12",
+        "canon-sat-calls 0",
+        "sweep-proved 1",
+        "sweep-refuted 0",
+    ]
 
 
 def test_per_output_counts_propagations(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from circuits import (
@@ -123,7 +125,7 @@ def test_verify_arrivals_flip_the_verdict(work, capsys):
     )
     assert code == 0
     assert "verdict equivalent" in out
-    assert "method sat" in out
+    assert "method sweep" in out
     assert "matched-step -5" in out
 
 
@@ -185,9 +187,10 @@ def test_verify_solver_case_writes_real_cnf(work, capsys):
         "verify", work / "reconv.bench", work / "reconv_reduced.bench", "--cnf", cnf,
     )
     assert code == 0
-    assert "method sat" in out
+    assert "method sweep" in out
     text = cnf.read_text()
-    assert "p cnf " in text and "c var 1 = " in text
+    # the whole miter's CNF, as before the sweep: 7 variables, 16 clauses
+    assert "p cnf 7 16" in text.splitlines() and "c var 1 = " in text
 
 
 def test_verify_conflict_budget_gives_exit_4(work, capsys):
@@ -284,6 +287,22 @@ def test_simulate_command(work, capsys):
     assert len(lines) == 6
     assert lines[0] == "CYCLE 0: out=0"
     assert lines[5] == "CYCLE 5: out=1"  # late d completes the product
+
+
+def test_simulate_extra_cycles_are_capped(work, capsys):
+    waves = work / "in.waves"
+    waves.write_text("a=0 b=1 c=1 d=0\nd=1\n")
+    args = ("simulate", work / "late_d.bench", "--waves", waves, "--extra")
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *args, "99999999999")
+    assert time.monotonic() - t0 < 1.0  # refused before any cycle is built
+    assert code == 2 and out == ""
+    assert err == f"error: --extra 99999999999 is above the limit of {MAX_LATENESS} cycles\n"
+    code, out, _ = run(capsys, *args, str(MAX_LATENESS))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 + MAX_LATENESS
+    assert lines[5] == "CYCLE 5: out=1" and lines[-1] == f"CYCLE {1 + MAX_LATENESS}: out=0"
 
 
 def test_simulate_rejects_unknown_wave_names(work, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,16 @@ from circuits import (
     split_reconverge_golden_reduced,
     split_reconverge_netlist,
 )
-from gen import mutate_comb, random_comb, sfqify
+from gen import (
+    eval_comb,
+    kogge_stone_adder,
+    mutate_comb,
+    parity_pair,
+    parity_value,
+    random_comb,
+    ripple_adder,
+    sfqify,
+)
 from sfqlec import (
     ArrivalSchedule,
     apply_itcl,
@@ -18,9 +28,11 @@ from sfqlec import (
     builtin_profile,
     check_equivalence,
     exhaustive_equivalence,
+    inject,
     parse_netlist,
     replay_trace,
 )
+from sfqlec import miter as miter_module
 from sfqlec.aig import FALSE, TRUE
 from sfqlec.miter import MiterError
 from sfqlec.sim import SimError
@@ -64,7 +76,7 @@ def test_arrival_schedule_flips_the_verdict():
     verdict = check_equivalence(miter)
     assert verdict.equivalent is True
     assert verdict.trace is None
-    assert verdict.stats.method == "sat"
+    assert verdict.stats.method == "sweep"
 
 
 def test_matched_structure_collapses_without_solving():
@@ -81,7 +93,7 @@ def test_reduced_golden_needs_the_solver():
     assert miter.root not in (TRUE, FALSE)
     verdict = check_equivalence(miter)
     assert verdict.equivalent is True
-    assert verdict.stats.method == "sat"
+    assert verdict.stats.method == "sweep"
     assert verdict.stats.cnf_vars > 0
 
 
@@ -183,3 +195,45 @@ def test_arrival_traces_replay_and_agree_with_exhaustive(profile_name):
             replayed += 1
         checked += 1
     assert checked >= 40 and replayed >= 35
+
+
+def test_sweep_decides_ks64_against_ripple64():
+    # one solve of the whole miter needs 20,048 conflicts; the sweep merges
+    # the carries the two adders share, and the root becomes FALSE
+    miter = make_miter(sfqify(kogge_stone_adder(64)), ripple_adder(64))
+    t0 = time.monotonic()
+    verdict = check_equivalence(miter, max_conflicts=5000)
+    assert time.monotonic() - t0 < 10.0
+    assert verdict.equivalent is True
+    assert verdict.stats.method == "sweep"
+    assert verdict.stats.sweep_proved > 0
+
+
+def test_sweep_decides_the_parity_pair():
+    spec, nand = parity_pair()
+    rng = random.Random(3)
+    for _ in range(64):
+        asn = {pi: rng.getrandbits(1) for pi in spec.primary_inputs}
+        want = {f"y{j}": parity_value(asn, j) for j in range(8)}
+        assert eval_comb(spec, asn) == want == eval_comb(nand, asn)
+    # one solve of the whole miter is still undecided after 60,000 conflicts
+    verdict = check_equivalence(make_miter(sfqify(nand), spec), max_conflicts=5000)
+    assert verdict.equivalent is True
+    assert verdict.stats.method == "sweep"
+
+
+def test_sweep_pairs_that_give_up_stay_unmerged(monkeypatch):
+    ks8 = sfqify(kogge_stone_adder(8))
+    impls = [ks8] + [inject(ks8, "swap-gate", seed=s)[0] for s in range(6)]
+    want = [check_equivalence(make_miter(impl, ripple_adder(8))) for impl in impls]
+    assert {v.equivalent for v in want} == {True, False}
+    # no simulation verdict, and sweep queries that give up at once or soon
+    monkeypatch.setattr(miter_module, "_SIM_ROUNDS", 0)
+    for cap in (0, 1):
+        monkeypatch.setattr(miter_module, "_PAIR_CONFLICTS", cap)
+        for impl, full in zip(impls, want):
+            verdict = check_equivalence(make_miter(impl, ripple_adder(8)))
+            assert verdict.equivalent == full.equivalent, cap
+            assert verdict.trace == full.trace, cap
+            if verdict.equivalent is False:
+                assert replay_trace(impl, ripple_adder(8), verdict.trace, RSFQ)

@@ -49,14 +49,16 @@ mcid-duplicated 0
 window -6..-5
 matched-step -5
 verdict equivalent
-method sat
+method sweep
 aig-nodes 14
-cnf-vars 13
-cnf-clauses 25
-decisions 2
-conflicts 2
-propagations 11
+cnf-vars 10
+cnf-clauses 17
+decisions 0
+conflicts 1
+propagations 12
 canon-sat-calls 0
+sweep-proved 1
+sweep-refuted 0
 """
 
 LATE_D_MCID_D2 = """\

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from gen import kogge_stone_adder, ripple_adder, sfqify
+from sfqlec import build_mcid, build_miter, builtin_profile
 from sfqlec.aig import Aig
 from sfqlec.mcid import TimedSignal
 from sfqlec.sat import Budget, CdclSolver, Cnf, cnf_from_aig, to_dimacs
@@ -163,3 +165,19 @@ def test_dimacs_output_is_stable():
         "3 -1 -2 0\n"
         "3 0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "n_bits, work", [(16, (2561, 1257, 88707)), (24, (6132, 2995, 286075))]
+)
+def test_whole_miter_solve_work_is_pinned(n_bits, work):
+    """One plain solve of the whole ks-vs-ripple miter, as the decide phase
+    ran before the sweep: its decisions, conflicts and propagations do not
+    depend on how the solver finds its next decision."""
+    impl = sfqify(kogge_stone_adder(n_bits))
+    miter = build_miter(build_mcid(impl, builtin_profile("rsfq")), ripple_adder(n_bits))
+    cnf = cnf_from_aig(miter.aig, miter.root)
+    solver = CdclSolver(cnf.num_vars, cnf.clauses)
+    assert solver.solve()[0] == "unsat"
+    s = solver.stats
+    assert (s.decisions, s.conflicts, s.propagations) == work

@@ -127,3 +127,93 @@ def test_budget_deadline():
     assert budget.exhausted()
     assert CdclSolver(nv, clauses).solve(budget=budget) == ("unknown", None)
     assert not Budget.start().exhausted()
+
+
+def test_clauses_added_between_calls_match_a_fresh_solver():
+    for seed in range(120):
+        rng = random.Random(5000 + seed)
+        nv = rng.randint(3, 10)
+        clauses = random_3cnf(rng, nv, rng.randint(1, 3 * nv))
+        solver = CdclSolver(nv, clauses)
+        for step in range(6):
+            solver.solve(random_assumptions(rng, nv))
+            nv += rng.randint(0, 1)  # a new variable, created by its first clause
+            extra = random_3cnf(rng, nv, rng.randint(1, 3))
+            if rng.random() < 0.5:
+                v = rng.randint(1, nv)
+                extra.append((v if rng.random() < 0.5 else -v,))
+            for c in extra:
+                solver.add_clause(c)
+            clauses += extra
+            status, model = solver.solve()
+            assert status == CdclSolver(nv, clauses).solve()[0], (seed, step)
+            if status == "sat":
+                assert satisfies(model, clauses), (seed, step)
+            assert not solver.trail_lim
+
+
+def test_a_clause_false_at_level_zero_makes_the_solver_unsat():
+    solver = CdclSolver(2, [(1,), (-1, 2)])
+    # the unit is set at once, so (-1, 2) loses its false literal and is a unit too
+    assert solver.value[1:] == [1, 1] and solver.clauses == []
+    solver.add_clause((1, 3))  # already true: skipped, though it names 3
+    assert solver.nv == 3 and solver.clauses == []
+    solver.add_clause((-1, -2))
+    assert not solver.ok
+    assert solver.solve() == ("unsat", None)
+    # a unit whose propagation conflicts at level 0
+    solver = CdclSolver(3, [(-1, 2), (-1, 3), (-2, -3)])
+    assert solver.solve([1])[0] == "unsat" and solver.ok
+    solver.add_clause((1,))
+    assert not solver.ok and solver.solve()[0] == "unsat"
+
+
+def test_variables_grow_with_clauses_and_assumptions():
+    solver = CdclSolver()
+    solver.add_clause((2, -4))
+    assert solver.nv == 4
+    status, model = solver.solve([4, -6])
+    assert status == "sat" and solver.nv == 6
+    assert model == {1: False, 2: True, 3: False, 4: True, 5: False, 6: False}
+
+
+def test_per_call_conflict_cap_leaves_the_budget_shared():
+    nv, clauses = pigeonhole(5)
+    solver = CdclSolver(nv, clauses)
+    budget = Budget.start(max_conflicts=25)
+    assert solver.solve(budget=budget, max_conflicts=10) == ("unknown", None)
+    assert budget.conflicts == solver.stats.conflicts == 10
+    assert solver.solve(budget=budget, max_conflicts=100) == ("unknown", None)
+    assert budget.conflicts == 25
+
+
+def scan_decide(solver):
+    """The free variable of highest activity, lowest index first: what the
+    decision heap must pick."""
+    best, best_act = 0, -1
+    for v in range(1, solver.nv + 1):
+        if solver.value[v] == 0 and solver.activity[v] > best_act:
+            best, best_act = v, solver.activity[v]
+    return best
+
+
+def test_decision_heap_picks_what_a_scan_picks(monkeypatch):
+    def work():
+        out = []
+        for nv, clauses in [pigeonhole(5), pigeonhole(6)]:
+            solver = CdclSolver(nv, clauses)
+            out.append((solver.solve(), solver.solve([1, -nv]), solver.stats))
+        for seed in range(30):
+            rng = random.Random(9000 + seed)
+            nv = rng.randint(20, 40)
+            solver = CdclSolver(nv, random_3cnf(rng, nv, int(4.2 * nv)))
+            for _ in range(5):
+                out.append(solver.solve(random_assumptions(rng, nv)))
+                solver.add_clause(random_3cnf(rng, nv + 1, 1)[0])
+            out.append(solver.stats)
+        return out
+
+    by_heap = work()
+    assert by_heap[1][2].conflicts > 256  # activities were halved on the way
+    monkeypatch.setattr(CdclSolver, "_decide", scan_decide)
+    assert work() == by_heap
