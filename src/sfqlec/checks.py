@@ -5,9 +5,14 @@ distance sets: for each net, the set of clocked-gate path lengths from any
 primary input down to that net.  A correctly balanced circuit has a singleton
 set at every gate fanin (the same data wave arrives on all pins together) and
 one common depth across the primary outputs.
+
+`BaseDistanceSet` is a tuple-backed record (a `typing.NamedTuple`):
+immutable, hashed and compared by value, and equal to the plain tuple of its
+fields.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .netlist import Netlist, count_readers
 from .profiles import TechnologyProfile
@@ -43,8 +48,7 @@ class CheckReport:
         return [v.line() for v in self.violations]
 
 
-@dataclass(frozen=True)
-class BaseDistanceSet:
+class BaseDistanceSet(NamedTuple):
     net: str
     distances: tuple[int, ...]  # sorted, possibly truncated to (min, max)
     truncated: bool = False
@@ -83,11 +87,22 @@ def check_fanout(netlist: Netlist, profile: TechnologyProfile) -> CheckReport:
 
 def base_distances(netlist: Netlist, profile: TechnologyProfile) -> dict[str, BaseDistanceSet]:
     """One forward pass in topological order; each gate is visited once."""
+    non_clocked = profile.non_clocked_kinds
     out: dict[str, BaseDistanceSet] = {
         pi: BaseDistanceSet(pi, (0,)) for pi in netlist.primary_inputs
     }
     for g in netlist.order:
-        step = 1 if profile.is_clocked(g.kind.name) else 0
+        step = 0 if g.kind.name in non_clocked else 1
+        first = out[g.inputs[0]]
+        d = first.distances
+        if len(d) == 1 and not first.truncated:
+            for net in g.inputs[1:]:
+                other = out[net]
+                if other.distances != d or other.truncated:
+                    break
+            else:  # every fanin holds the same singleton
+                out[g.output] = BaseDistanceSet(g.output, (d[0] + step,) if step else d)
+                continue
         merged: set[int] = set()
         truncated = False
         for net in g.inputs:
@@ -116,6 +131,10 @@ def check_path_balance(
     dists = base_distances(netlist, profile)
     if not po_only:
         for g in netlist.order:
+            if len(g.inputs) == 1:
+                f = dists[g.inputs[0]]
+                if len(f.distances) == 1 and not f.truncated:
+                    continue  # one balanced fanin: nothing to compare
             fanins = [dists[net] for net in g.inputs]
             bad = next((f for f in fanins if not f.is_singleton), None)
             if bad is not None:

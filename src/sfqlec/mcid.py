@@ -9,16 +9,20 @@ its fanins at step t-1 and a transparent gate reads them at step t.
 Splitters are identity fanout elements and are elided (aliased through);
 storage elements keep their position in the unrolling but degrade to plain
 buffers, since the time shift is already explicit in the signal names.
+
+`TimedSignal` is a tuple-backed record (a `typing.NamedTuple`): immutable,
+hashed, compared and sorted by value as (net, step), and equal to the plain
+tuple of its fields.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .netlist import Gate, Netlist, bench_text, logic_levels
 from .profiles import KINDS, RSFQ, TechnologyProfile
 
 
-@dataclass(frozen=True, order=True)
-class TimedSignal:
+class TimedSignal(NamedTuple):
     net: str
     step: int  # 0 = observation cycle, negative = earlier waves
 
@@ -57,43 +61,47 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
     result is a DAG whose size is bounded by gates x distinct steps.
     """
     non_clocked = profile.non_clocked_kinds
+    driver_of = netlist.driver_of
+    buf = KINDS["BUF"]
     memo: dict[tuple[str, int], TimedSignal] = {}
     gates: list[Gate] = []
     pins: list[TimedSignal] = []
+    # A (net, step) whose fanins are not all expanded yet goes back on the
+    # stack under them, so it is emitted after them (DFS post-order).
+    stack: list[tuple[str, int]] = []
+    push, pop = stack.append, stack.pop
 
     for po in netlist.primary_outputs:
-        # explicit two-phase stack: phase 0 schedules fanins, phase 1 emits
-        stack: list[tuple[str, int, bool]] = [(po, 0, False)]
+        push((po, 0))
         while stack:
-            net, t, ready = stack.pop()
-            key = (net, t)
+            key = pop()
             if key in memo:
                 continue
-            if netlist.is_pi(net):
-                sig = TimedSignal(net, t)
-                memo[key] = sig
+            net, t = key
+            gate = driver_of.get(net)
+            if gate is None:  # a primary input
+                sig = memo[key] = TimedSignal(net, t)
                 pins.append(sig)
                 continue
-            gate = netlist.driver_of[net]
-            dt = 0 if gate.kind.name in non_clocked else 1
-            if gate.kind.name == "SPLIT":
-                src = (gate.inputs[0], t - dt)
+            kind, ins = gate.kind, gate.inputs
+            s = t if kind.name in non_clocked else t - 1  # the step its fanins are read at
+            if kind.name == "SPLIT":
+                src = (ins[0], s)
                 if src in memo:
                     memo[key] = memo[src]
                 else:
-                    stack.append((net, t, ready))
-                    stack.append((gate.inputs[0], t - dt, False))
+                    push(key)
+                    push(src)
                 continue
-            if ready:
-                sig = TimedSignal(net, t)
-                ins = tuple(memo[(i, t - dt)] for i in gate.inputs)
-                kind = KINDS["BUF"] if gate.kind.name == "DFF" else gate.kind
-                gates.append(Gate(kind, ins, sig))
-                memo[key] = sig
-            else:
-                stack.append((net, t, True))
-                for i in reversed(gate.inputs):
-                    stack.append((i, t - dt, False))
+            fanins = tuple([memo.get((i, s)) for i in ins])
+            if None in fanins:
+                push(key)
+                for i in reversed(ins):
+                    if (i, s) not in memo:
+                        push((i, s))
+                continue
+            sig = memo[key] = TimedSignal(net, t)
+            gates.append(Gate(buf if kind.name == "DFF" else kind, fanins, sig))
 
     timed_inputs = tuple(sorted(set(pins)))
     outputs = {po: memo[(po, 0)] for po in netlist.primary_outputs}

@@ -4,12 +4,16 @@ A netlist is a DAG of single-output gates over named nets.  Clocking is a
 property of the gate kind (there are no clock nets): every clocked gate is
 one pipeline stage deep.  Which kinds count as clocked is decided by the
 technology profile alone.
+
+`Gate` is a tuple-backed record (a `typing.NamedTuple`): immutable, hashed
+and compared by value, and equal to the plain tuple of its fields.
 """
 
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 import heapq
 import re
+from typing import NamedTuple
 
 from .errors import SfqlecError
 from .profiles import KINDS, RSFQ, GateKind, TechnologyProfile
@@ -34,8 +38,7 @@ def get_kind(name: str) -> GateKind:
     return kind
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One single-output gate, named by the net it drives.  A net is any
     hashable name: a str in a netlist, a TimedSignal in an MCID model."""
 
@@ -50,6 +53,11 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_.@-]*"
 _NAME_RE = re.compile(rf"^{_NAME}$")
 _IO_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$", re.IGNORECASE)
 _GATE_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z0-9_]+)\s*\((.*)\)$")
+# A whole, well-formed one- or two-input gate line, comment included.  A line
+# it rejects may still be valid; the checks below decide it.
+_GATE_LINE_RE = re.compile(
+    rf"\s*({_NAME})\s*=\s*([A-Za-z0-9_]+)\s*\(\s*({_NAME})\s*(?:,\s*({_NAME})\s*)?\)\s*(?:#.*)?"
+)
 
 
 @dataclass
@@ -69,56 +77,69 @@ class Netlist:
     order: tuple[Gate, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.driver_of = {}
+        self.driver_of = driver_of = {}
         self._pis = pi_set = frozenset(self.primary_inputs)
         if len(pi_set) != len(self.primary_inputs):
             raise NetlistError("duplicate primary input declaration")
         if len(set(self.primary_outputs)) != len(self.primary_outputs):
             raise NetlistError("duplicate primary output declaration")
         for g in self.gates:
-            if g.output in pi_set:
-                raise NetlistError(f"net {g.output!r} driven by a gate but declared INPUT")
-            if g.output in self.driver_of:
-                raise NetlistError(f"net {g.output!r} has two drivers")
+            out = g.output
+            if out in pi_set:
+                raise NetlistError(f"net {out!r} driven by a gate but declared INPUT")
+            if out in driver_of:
+                raise NetlistError(f"net {out!r} has two drivers")
             if len(g.inputs) != g.kind.arity:
                 raise NetlistError(
-                    f"gate {g.output!r}: {g.kind.name} takes {g.kind.arity} inputs, "
+                    f"gate {out!r}: {g.kind.name} takes {g.kind.arity} inputs, "
                     f"got {len(g.inputs)}"
                 )
-            self.driver_of[g.output] = g
-        for g in self.gates:
-            for net in g.inputs:
-                if net not in pi_set and net not in self.driver_of:
-                    raise NetlistError(f"gate {g.output!r} reads undriven net {net!r}")
-        for po in self.primary_outputs:
-            if po not in pi_set and po not in self.driver_of:
-                raise NetlistError(f"primary output {po!r} is undriven")
+            driver_of[out] = g
         self.order = self._kahn_order()
 
     def _kahn_order(self) -> tuple[Gate, ...]:
         """Kahn's algorithm over gates; deterministic, ties broken by output
-        net.  Raises on cycles."""
-        indegree: dict[str, int] = {}
-        consumers: dict[str, list[str]] = {}
+        net.  The heap holds each output's rank among the sorted output
+        names, so it compares ints.  The indegree pass walks `gates` in order
+        and rejects the first undriven gate input; undriven outputs are
+        rejected next, and cycles last."""
+        driver_of, pis = self.driver_of, self._pis
+        names = sorted(driver_of)
+        rank = {out: r for r, out in enumerate(names)}
+        by_rank = [driver_of[out] for out in names]
+        indegree = [0] * len(names)
+        consumers: dict[int, list[int]] = {}
+        rank_of, consumers_of = rank.get, consumers.get
         for g in self.gates:
+            r = rank[g.output]
             deps = 0
             for net in g.inputs:
-                if net in self.driver_of:
-                    deps += 1
-                    consumers.setdefault(net, []).append(g.output)
-            indegree[g.output] = deps
-        ready = [out for out, d in indegree.items() if d == 0]
-        heapq.heapify(ready)
+                src = rank_of(net)
+                if src is None:
+                    if net not in pis:
+                        raise NetlistError(f"gate {g.output!r} reads undriven net {net!r}")
+                    continue
+                deps += 1
+                readers = consumers_of(src)
+                if readers is None:
+                    consumers[src] = [r]
+                else:
+                    readers.append(r)
+            indegree[r] = deps
+        for po in self.primary_outputs:
+            if po not in pis and po not in driver_of:
+                raise NetlistError(f"primary output {po!r} is undriven")
+        ready = [r for r, d in enumerate(indegree) if not d]  # ascending, so a heap
         order: list[Gate] = []
         while ready:
-            out = heapq.heappop(ready)
-            order.append(self.driver_of[out])
-            for nxt in consumers.get(out, ()):
+            r = heapq.heappop(ready)
+            order.append(by_rank[r])
+            for nxt in consumers_of(r, ()):
                 indegree[nxt] -= 1
-                if indegree[nxt] == 0:
+                if not indegree[nxt]:
                     heapq.heappush(ready, nxt)
         if len(order) != len(self.gates):
-            stuck = sorted(set(indegree) - {g.output for g in order})
+            stuck = [names[r] for r, d in enumerate(indegree) if d]
             raise NetlistError(f"cycle detected involving gate(s): {', '.join(stuck[:5])}")
         return tuple(order)
 
@@ -139,7 +160,16 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
     seen_pis: set[str] = set()
     seen_outputs: set[str] = set()
     seen_pos: set[str] = set()
+    gate_line, kind_of = _GATE_LINE_RE.fullmatch, KINDS.get
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        m = gate_line(raw)
+        if m:  # the common case; anything it does not settle goes the long way
+            out, kind_name, a, b = m.groups()
+            kind = kind_of(kind_name) or kind_of(kind_name.upper())
+            if kind is not None and kind.arity == (1 if b is None else 2) and out not in seen_outputs:
+                seen_outputs.add(out)
+                gates.append(Gate(kind, (a,) if b is None else (a, b), out))
+                continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

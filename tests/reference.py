@@ -1,0 +1,201 @@
+"""Straight-line references for the front end's rewritten hot paths.
+
+`parse_netlist`, `Netlist`'s validation and topological order,
+`base_distances` and `build_mcid` were rewritten to cut per-gate overhead.
+These are the plain loops they replaced, kept so that
+tests/test_front_end_reference.py can require equal results and identical
+error messages.
+"""
+
+import heapq
+import re
+
+from sfqlec.checks import DISTANCE_CAP, BaseDistanceSet
+from sfqlec.mcid import MCIDCircuit, TimedSignal
+from sfqlec.netlist import BenchParseError, Gate, NetlistError, get_kind
+from sfqlec.profiles import KINDS
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_.@-]*"
+_NAME_RE = re.compile(rf"^{_NAME}$")
+_IO_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$", re.IGNORECASE)
+_GATE_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z0-9_]+)\s*\((.*)\)$")
+
+
+def parse_lines(text: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Gate, ...]]:
+    """Bench text to (inputs, outputs, gates), one line at a time."""
+    pis: list[str] = []
+    pos: list[str] = []
+    gates: list[Gate] = []
+    seen_pis: set[str] = set()
+    seen_outputs: set[str] = set()
+    seen_pos: set[str] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _IO_RE.match(line)
+        if m:
+            keyword, net = m.group(1).upper(), m.group(2)
+            if keyword == "INPUT":
+                if net in seen_pis:
+                    raise BenchParseError(line_no, f"duplicate INPUT({net})")
+                seen_pis.add(net)
+                pis.append(net)
+            else:
+                if net in seen_pos:
+                    raise BenchParseError(line_no, f"duplicate OUTPUT({net})")
+                seen_pos.add(net)
+                pos.append(net)
+            continue
+        m = _GATE_RE.match(line)
+        if m:
+            out, kind_name, arg_text = m.group(1), m.group(2), m.group(3)
+            try:
+                kind = get_kind(kind_name)
+            except NetlistError as exc:
+                raise BenchParseError(line_no, str(exc)) from None
+            args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
+            for a in args:
+                if not _NAME_RE.match(a):
+                    raise BenchParseError(line_no, f"bad net name {a!r}")
+            if len(args) != kind.arity:
+                raise BenchParseError(
+                    line_no, f"{kind.name} takes {kind.arity} inputs, got {len(args)}"
+                )
+            if out in seen_outputs:
+                raise BenchParseError(line_no, f"net {out!r} has two drivers")
+            seen_outputs.add(out)
+            gates.append(Gate(kind, tuple(args), out))
+            continue
+        raise BenchParseError(line_no, f"cannot parse {line!r}")
+    return tuple(pis), tuple(pos), tuple(gates)
+
+
+def kahn_order(gates, driver_of: dict) -> tuple[Gate, ...]:
+    """Kahn's algorithm with the output names themselves on the heap."""
+    indegree: dict[str, int] = {}
+    consumers: dict[str, list[str]] = {}
+    for g in gates:
+        deps = 0
+        for net in g.inputs:
+            if net in driver_of:
+                deps += 1
+                consumers.setdefault(net, []).append(g.output)
+        indegree[g.output] = deps
+    ready = [out for out, d in indegree.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[Gate] = []
+    while ready:
+        out = heapq.heappop(ready)
+        order.append(driver_of[out])
+        for nxt in consumers.get(out, ()):
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    if len(order) != len(gates):
+        stuck = sorted(set(indegree) - {g.output for g in order})
+        raise NetlistError(f"cycle detected involving gate(s): {', '.join(stuck[:5])}")
+    return tuple(order)
+
+
+def validated_order(pis, pos, gates) -> tuple[Gate, ...]:
+    """Every `Netlist` check, one pass each, then the topological order."""
+    driver_of: dict[str, Gate] = {}
+    pi_set = frozenset(pis)
+    if len(pi_set) != len(pis):
+        raise NetlistError("duplicate primary input declaration")
+    if len(set(pos)) != len(pos):
+        raise NetlistError("duplicate primary output declaration")
+    for g in gates:
+        if g.output in pi_set:
+            raise NetlistError(f"net {g.output!r} driven by a gate but declared INPUT")
+        if g.output in driver_of:
+            raise NetlistError(f"net {g.output!r} has two drivers")
+        if len(g.inputs) != g.kind.arity:
+            raise NetlistError(
+                f"gate {g.output!r}: {g.kind.name} takes {g.kind.arity} inputs, "
+                f"got {len(g.inputs)}"
+            )
+        driver_of[g.output] = g
+    for g in gates:
+        for net in g.inputs:
+            if net not in pi_set and net not in driver_of:
+                raise NetlistError(f"gate {g.output!r} reads undriven net {net!r}")
+    for po in pos:
+        if po not in pi_set and po not in driver_of:
+            raise NetlistError(f"primary output {po!r} is undriven")
+    return kahn_order(gates, driver_of)
+
+
+def parse_netlist(text: str):
+    """(inputs, outputs, gates, order) of bench text, or the error it raises."""
+    pis, pos, gates = parse_lines(text)
+    return pis, pos, gates, validated_order(pis, pos, gates)
+
+
+def base_distances(netlist, profile) -> dict[str, BaseDistanceSet]:
+    out: dict[str, BaseDistanceSet] = {
+        pi: BaseDistanceSet(pi, (0,)) for pi in netlist.primary_inputs
+    }
+    for g in netlist.order:
+        step = 1 if profile.is_clocked(g.kind.name) else 0
+        merged: set[int] = set()
+        truncated = False
+        for net in g.inputs:
+            src = out[net]
+            truncated = truncated or src.truncated
+            merged.update(d + step for d in src.distances)
+        if len(merged) > DISTANCE_CAP:
+            truncated = True
+        if truncated:
+            merged = {min(merged), max(merged)}
+        out[g.output] = BaseDistanceSet(g.output, tuple(sorted(merged)), truncated)
+    return out
+
+
+def build_mcid(netlist, profile) -> MCIDCircuit:
+    non_clocked = profile.non_clocked_kinds
+    memo: dict[tuple[str, int], TimedSignal] = {}
+    gates: list[Gate] = []
+    pins: list[TimedSignal] = []
+
+    for po in netlist.primary_outputs:
+        # explicit two-phase stack: phase 0 schedules fanins, phase 1 emits
+        stack: list[tuple[str, int, bool]] = [(po, 0, False)]
+        while stack:
+            net, t, ready = stack.pop()
+            key = (net, t)
+            if key in memo:
+                continue
+            if netlist.is_pi(net):
+                sig = TimedSignal(net, t)
+                memo[key] = sig
+                pins.append(sig)
+                continue
+            gate = netlist.driver_of[net]
+            dt = 0 if gate.kind.name in non_clocked else 1
+            if gate.kind.name == "SPLIT":
+                src = (gate.inputs[0], t - dt)
+                if src in memo:
+                    memo[key] = memo[src]
+                else:
+                    stack.append((net, t, ready))
+                    stack.append((gate.inputs[0], t - dt, False))
+                continue
+            if ready:
+                sig = TimedSignal(net, t)
+                ins = tuple(memo[(i, t - dt)] for i in gate.inputs)
+                kind = KINDS["BUF"] if gate.kind.name == "DFF" else gate.kind
+                gates.append(Gate(kind, ins, sig))
+                memo[key] = sig
+            else:
+                stack.append((net, t, True))
+                for i in reversed(gate.inputs):
+                    stack.append((i, t - dt, False))
+
+    timed_inputs = tuple(sorted(set(pins)))
+    outputs = {po: memo[(po, 0)] for po in netlist.primary_outputs}
+    duplicated = len(gates) - len({g.output.net for g in gates})
+    return MCIDCircuit(
+        netlist.name, tuple(netlist.primary_inputs), gates, timed_inputs, outputs, duplicated
+    )

@@ -10,8 +10,9 @@ import sys
 from pathlib import Path
 
 from gen import kogge_stone_adder, ripple_adder, sfqify
-from sfqlec import inject, write_netlist
+from sfqlec import Gate, Netlist, inject, write_netlist
 from sfqlec.cli import main
+from sfqlec.netlist import get_kind
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -41,3 +42,51 @@ def test_tracer_sees_every_name_on_a_faulted_verify(tmp_path, monkeypatch, capsy
     assert counts["miter.sim_inequivalent"] == 1
     assert counts["sat.canon_builds"] == 1  # one solver for the whole canonicalization
     assert f"canon-sat-calls {counts['sat.canon_solves']}" in out
+
+
+def late_b_ripple16() -> tuple[Netlist, Netlist]:
+    """sfqify(ripple16) balanced for every b input arriving one cycle late:
+    each b is read through a BUF while sfqify pads the paths, and the BUF is
+    then deleted, so paths from b are one stage shorter."""
+    spec = ripple_adder(16)
+    buf = {pi: f"late_{pi}" for pi in spec.primary_inputs if pi.startswith("b")}
+    gates = [Gate(get_kind("BUF"), (pi,), b) for pi, b in buf.items()]
+    gates += [Gate(g.kind, tuple(buf.get(i, i) for i in g.inputs), g.output) for g in spec.gates]
+    padded = sfqify(Netlist(spec.name, spec.primary_inputs, spec.primary_outputs, tuple(gates)))
+    back = {b: pi for pi, b in buf.items()}
+    kept = tuple(
+        Gate(g.kind, tuple(back.get(i, i) for i in g.inputs), g.output)
+        for g in padded.gates
+        if g.output not in back
+    )
+    return Netlist("late_b16", spec.primary_inputs, spec.primary_outputs, kept), spec
+
+
+def test_tracer_keeps_each_front_end_phase_under_its_name(tmp_path, monkeypatch, capsys):
+    impl, spec = late_b_ripple16()
+    (tmp_path / "impl.bench").write_text(write_netlist(impl))
+    (tmp_path / "spec.bench").write_text(write_netlist(spec))
+    late = ",".join(f"{pi}:1" for pi in spec.primary_inputs if pi.startswith("b"))
+    tracer = load_spans(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        code = main(
+            ["verify", str(tmp_path / "impl.bench"), str(tmp_path / "spec.bench"), "--arrivals", late]
+        )
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.missing == []
+    self_s, counts = tracer.take()
+    assert self_s["itcl.apply_itcl"] > 0
+    # the counts of the straight-line front end (tests/reference.py)
+    pinned = {
+        "netlist.gates": 994,
+        "checks.violations": 880,
+        "mcid.gates": 850,
+        "mcid.duplicated": 0,
+        "itcl.pins": 33,
+        "miter.aig_nodes": 146,
+    }
+    assert {k: counts[k] for k in pinned} == pinned

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from circuits import late_d_netlist
 from gen import enumerate_path_sets, oracle_balanced, random_comb, random_pipeline, sfqify
 from sfqlec import (
@@ -14,6 +16,7 @@ from sfqlec.checks import (
     FANOUT_EXCEEDED,
     UNBALANCED_FANIN,
     UNEQUAL_OUTPUT_DEPTH,
+    BaseDistanceSet,
     Violation,
 )
 
@@ -159,3 +162,19 @@ def test_wide_distance_sets_are_truncated_not_enumerated():
     assert top.distances == (n_stages + 1, 2 * n_stages + 1)
     rep = check_path_balance(net, RSFQ)
     assert not rep.passed
+
+
+def test_base_distance_set_is_an_immutable_value_record():
+    s = BaseDistanceSet("n", (2, 5), True)
+    assert s == BaseDistanceSet(net="n", distances=(2, 5), truncated=True)  # names, order
+    assert (s.net, s.distances, s.truncated) == ("n", (2, 5), True)
+    assert s == ("n", (2, 5), True)  # tuple-backed: equal to the plain tuple of its fields
+    assert BaseDistanceSet("n", (3,)) == ("n", (3,), False)  # truncated defaults to False
+    assert hash(s) == hash(BaseDistanceSet("n", (2, 5), True))
+    assert len({s, BaseDistanceSet("n", (2, 5), True)}) == 1
+    assert s != BaseDistanceSet("n", (2, 5))
+    with pytest.raises(AttributeError):
+        s.truncated = False
+    assert repr(s) == "BaseDistanceSet(net='n', distances=(2, 5), truncated=True)"
+    assert (s.is_singleton, s.depth) == (False, 5)
+    assert (BaseDistanceSet("n", (3,)).is_singleton, BaseDistanceSet("n", (3,)).depth) == (True, 3)

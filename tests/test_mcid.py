@@ -32,6 +32,21 @@ def test_timed_signal_renders_with_step():
     assert str(TimedSignal("na", -4)) == "na@t-4"
 
 
+def test_timed_signal_is_an_immutable_value_record():
+    sig = TimedSignal("m", -1)
+    assert sig == TimedSignal(net="m", step=-1)  # field names, positional order
+    assert (sig.net, sig.step) == ("m", -1)
+    assert sig == ("m", -1)  # tuple-backed: equal to the plain tuple of its fields
+    assert hash(sig) == hash(TimedSignal("m", -1)) and len({sig, TimedSignal("m", -1)}) == 1
+    assert sig != TimedSignal("m", 0)
+    with pytest.raises(AttributeError):
+        sig.step = 0
+    # sorted by net, then by step as a number (-10 before -9)
+    pins = [TimedSignal("b", -20), TimedSignal("a", 2), TimedSignal("a", -9), TimedSignal("a", -10)]
+    assert [str(p) for p in sorted(pins)] == ["a@t-10", "a@t-9", "a@t2", "b@t-20"]
+    assert repr(sig) == "TimedSignal(net='m', step=-1)"
+
+
 def test_late_arrival_model_shape():
     mcid = build_mcid(late_d_netlist(), RSFQ)
     assert mcid.gate_count == 12

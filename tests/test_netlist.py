@@ -155,3 +155,16 @@ def test_write_netlist_emits_topological_gate_order():
     lines = [l for l in text.splitlines() if "=" in l]
     assert lines.index("n1 = AND2(a, b)") < lines.index("n2 = DFF(n1)")
     assert lines[-1].startswith("y = INV")
+
+
+def test_gate_is_an_immutable_value_record():
+    inv = get_kind("INV")
+    g = Gate(inv, ("a",), "y")
+    assert g == Gate(kind=inv, inputs=("a",), output="y")  # field names, positional order
+    assert (g.kind, g.inputs, g.output) == (inv, ("a",), "y")
+    assert g == (inv, ("a",), "y")  # tuple-backed: equal to the plain tuple of its fields
+    assert hash(g) == hash(Gate(inv, ("a",), "y")) and len({g, Gate(inv, ("a",), "y")}) == 1
+    assert g != Gate(inv, ("a",), "z")
+    with pytest.raises(AttributeError):
+        g.output = "z"
+    assert repr(g) == "Gate(kind=GateKind(name='INV', arity=1), inputs=('a',), output='y')"

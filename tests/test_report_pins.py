@@ -92,6 +92,14 @@ out@t0 = AND2(mD@t-1, orm@t-1)
 KS16_SWAP_SHA256 = "53515be71d1851b7e77676ddf4ae4f41222bfcbf9a35d6d154c2807cf5391835"
 
 
+# sha256 of stdout for three commands on sfqify(ks16): the model dump (its
+# emission order), a swap-gate fault (the writer's topological order) and
+# the structural check of a remove-dff fault (violation text and order)
+KS16_MCID_SHA256 = "bdbcdb0c18e60705d4aaab7f74c909d2223371f267479495f83d2e11bdd1600d"
+KS16_SWAP_FAULT_SHA256 = "50154d9517573627e01403786d81620cbb29174be82f16639283815ec7d80ab6"
+KS16_NODFF_CHECK_SHA256 = "7762ae2e190d59da7349b8fc106a355337d3ae22504cdb80d9f829ca0ae2bc7f"
+
+
 @pytest.fixture()
 def work(tmp_path):
     (tmp_path / "late_d.bench").write_text(LATE_D_BENCH)
@@ -128,3 +136,20 @@ def test_faulted_adder_report_and_trace_are_pinned(tmp_path, capsys):
     assert code == 1
     digest = hashlib.sha256((out + trace.read_text()).encode()).hexdigest()
     assert digest == KS16_SWAP_SHA256
+
+
+def test_real_size_front_end_outputs_are_pinned(tmp_path, capsys):
+    ks16 = tmp_path / "ks16.bench"
+    ks16.write_text(write_netlist(sfqify(kogge_stone_adder(16))))
+    nodff = tmp_path / "nodff.bench"
+    assert run(capsys, "inject-fault", ks16, "--kind", "remove-dff", "--seed", 0, "--out", nodff)[0] == 0
+    got = [
+        run(capsys, "build-mcid", ks16),
+        run(capsys, "inject-fault", ks16, "--kind", "swap-gate", "--seed", 0),
+        run(capsys, "check-structure", nodff),
+    ]
+    assert [(code, hashlib.sha256(out.encode()).hexdigest()) for code, out in got] == [
+        (0, KS16_MCID_SHA256),
+        (0, KS16_SWAP_FAULT_SHA256),
+        (3, KS16_NODFF_CHECK_SHA256),
+    ]
