@@ -76,7 +76,8 @@ class Aig:
         return [val[r >> 1] ^ (mask if r & 1 else 0) for r in roots]
 
     def cone(self, roots: list[int]) -> tuple[list[int], list[int]]:
-        """Node indices reachable from roots: (input nodes, and nodes)."""
+        """Node indices reachable from roots: (input nodes in label order,
+        and nodes in index order)."""
         seen: set[int] = set()
         stack = [r >> 1 for r in roots]
         while stack:
@@ -88,6 +89,6 @@ class Aig:
             if node[0] == "and":
                 stack.append(node[1] >> 1)
                 stack.append(node[2] >> 1)
-        ins = sorted(i for i in seen if self.nodes[i][0] == "in")
+        ins = sorted((i for i in seen if self.nodes[i][0] == "in"), key=self.label)
         ands = sorted(i for i in seen if self.nodes[i][0] == "and")
         return ins, ands

@@ -85,12 +85,14 @@ def check_fanout(netlist: Netlist, profile: TechnologyProfile) -> CheckReport:
     return report
 
 
-def base_distances(netlist: Netlist, profile: TechnologyProfile) -> dict[str, BaseDistanceSet]:
-    """One forward pass in topological order; each gate is visited once."""
+def base_distances(
+    netlist: Netlist, profile: TechnologyProfile, shifts: dict[str, int] | None = None
+) -> dict[str, BaseDistanceSet]:
+    """One forward pass in topological order; each gate is visited once.
+    Each input starts at its lateness in `shifts` (0 when absent)."""
     non_clocked = profile.non_clocked_kinds
-    out: dict[str, BaseDistanceSet] = {
-        pi: BaseDistanceSet(pi, (0,)) for pi in netlist.primary_inputs
-    }
+    shifts = shifts or {}
+    out = {pi: BaseDistanceSet(pi, (shifts.get(pi, 0),)) for pi in netlist.primary_inputs}
     for g in netlist.order:
         step = 0 if g.kind.name in non_clocked else 1
         first = out[g.inputs[0]]
@@ -118,17 +120,17 @@ def base_distances(netlist: Netlist, profile: TechnologyProfile) -> dict[str, Ba
 
 
 def check_path_balance(
-    netlist: Netlist, profile: TechnologyProfile, po_only: bool = False
+    netlist: Netlist, profile: TechnologyProfile, po_only: bool = False, shifts: dict | None = None
 ) -> CheckReport:
     """Path balancing: singleton, equal fanin distances and equal PO depths.
 
     po_only relaxes the per-fanin requirement and checks only that all
-    primary outputs sit at one common depth.
+    primary outputs sit at one common depth.  Inputs start at their `shifts`.
     """
     report = CheckReport()
     if not profile.requires_path_balancing:
         return report
-    dists = base_distances(netlist, profile)
+    dists = base_distances(netlist, profile, shifts)
     if not po_only:
         for g in netlist.order:
             if len(g.inputs) == 1:

@@ -111,13 +111,14 @@ def cmd_verify(args) -> int:
         _emit(lines, args.report)
         _finish(args, netlist.name, "rejected", "none", t0)
         return EXIT_REJECTED
-    bal = check_path_balance(netlist, profile, po_only=args.po_only_balance)
+    # balance is judged for the declared arrivals; no schedule is all zeros
+    schedule = ArrivalSchedule.parse(args.arrivals or "")
+    shifts = schedule.shifts(netlist.primary_inputs)
+    bal = check_path_balance(netlist, profile, po_only=args.po_only_balance, shifts=shifts)
     for v in bal.violations:
         print(f"WARNING {v.line()}", file=sys.stderr)
 
-    mcid = build_mcid(netlist, profile)
-    if args.arrivals:
-        mcid = apply_itcl(mcid, ArrivalSchedule.parse(args.arrivals))
+    mcid = apply_itcl(build_mcid(netlist, profile), schedule)
     miter = build_miter(mcid, golden)
     if args.cnf:
         if miter.root >> 1 == 0:

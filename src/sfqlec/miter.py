@@ -3,8 +3,10 @@
 Both sides are built into one shared and-inverter graph; matched input pins
 are literally the same AIG variable, so a model whose unrolled logic is
 structurally identical to the spec collapses to constant FALSE before any
-solving.  Otherwise a seeded random-simulation pre-pass (`_SIM_ROUNDS`
-words of `_SIM_WIDTH` bits) looks for an easy disagreement.
+solving.  Otherwise one seeded draw of random patterns (`_patterns`)
+serves the whole decision: one bit-parallel simulation of every
+non-constant root over the first `_SIM_ROUNDS * _SIM_WIDTH` bits looks
+for an easy disagreement, and the sweep's signatures start from them all.
 
 What simulation leaves open is SAT-swept (Mishchenko, Chatterjee, Jiang,
 Brayton, "FRAIGs", 2005; Mishchenko et al., "Improvements to Combinational
@@ -41,7 +43,7 @@ from .errors import SfqlecError
 from .itcl import InputMatching, match_inputs
 from .mcid import MCIDCircuit
 from .netlist import Netlist, first_pipeline_cell
-from .sat import Budget, CdclSolver, cnf_from_aig
+from .sat import Budget, CdclSolver, Tseitin, cnf_from_aig
 from .trace import TimedTrace
 
 _SIM_ROUNDS = 8
@@ -134,7 +136,7 @@ def _lex_min_model(
     if len(ins) * max(1, len(ands)) > _CANON_CAP:
         stats.trace_canonical = "capped"
         return model
-    labels = sorted(aig.label(i) for i in ins)
+    labels = [aig.label(i) for i in ins]
     cur = {lbl: model.get(lbl, 0) for lbl in labels}
     for k, lbl in enumerate(labels):
         if not cur[lbl]:
@@ -159,40 +161,38 @@ def _lex_min_model(
     return cur
 
 
-def _patterns(labels: list, seed, extra: int = 0):
-    """Seeded random input words, one round at a time: (width, label ->
-    word) for `_SIM_ROUNDS` rounds of `_SIM_WIDTH` bits, then `extra` bits."""
+def _patterns(labels: list, seed) -> dict:
+    """Seeded random input words of `_SIM_ROUNDS * _SIM_WIDTH + _SWEEP_BITS`
+    bits, drawn round by round: simulation round r in the `_SIM_WIDTH` bits
+    from r * `_SIM_WIDTH` up, the sweep's extra bits on top."""
     rng = random.Random(seed)
-    for _ in range(_SIM_ROUNDS):
-        yield _SIM_WIDTH, {lbl: rng.getrandbits(_SIM_WIDTH) for lbl in labels}
-    if extra:
-        yield extra, {lbl: rng.getrandbits(extra) for lbl in labels}
+    words, shift = dict.fromkeys(labels, 0), 0
+    for width in [_SIM_WIDTH] * _SIM_ROUNDS + [_SWEEP_BITS]:
+        for lbl in labels:
+            words[lbl] |= rng.getrandbits(width) << shift
+        shift += width
+    return words
 
 
-def _simulate_root(aig: Aig, root: int, stats: VerdictStats, seed):
+def _settle(root: int, hit: int, words: dict, stats: VerdictStats):
     """(equivalent, distinguishing model or None, None) when the root is
-    constant or the random patterns set it; None when the sweep decides."""
-    if root == FALSE:
+    constant or simulation set it in some lane of `hit`; None when the
+    sweep decides.  The lowest set bit is the first round's lowest hit."""
+    if root >> 1 == 0:
         stats.method = "structural"
-        return True, None, None
-    if root == TRUE:
-        stats.method = "structural"
-        return False, {}, None
-    ins, _ = aig.cone([root])
-    labels = sorted(aig.label(i) for i in ins)
-    for width, words in _patterns(labels, seed):
-        (res,) = aig.evaluate(words, [root], mask=(1 << width) - 1)
-        if res:
-            bit = (res & -res).bit_length() - 1
-            stats.method = "simulation"
-            return False, {lbl: (words[lbl] >> bit) & 1 for lbl in labels}, None
+        return (True, None, None) if root == FALSE else (False, {}, None)
+    if hit:
+        bit = (hit & -hit).bit_length() - 1
+        stats.method = "simulation"
+        return False, {lbl: (w >> bit) & 1 for lbl, w in words.items()}, None
     return None
 
 
 class _Sweep:
     """SAT sweeping of the cones of some miter roots on one solver.
 
-    Every node gets a signature: its value under the random patterns.
+    Every node gets a signature: its value under `words`, the patterns
+    simulation drew (`_patterns`), so a sweep starts from what it saw.
     Nodes whose signatures agree up to complement form a class, headed by
     its lowest node.  In node order each node is rebuilt, through
     `Aig.and_`, in a fresh graph (the fraig) from its fanins' fraig edges,
@@ -206,24 +206,22 @@ class _Sweep:
     Tseitin-encoded into the solver when first needed.
     """
 
-    def __init__(self, aig: Aig, roots: list[int], seed, stats: VerdictStats, budget: Budget):
+    def __init__(self, aig: Aig, roots: list[int], words: dict, stats: VerdictStats, budget: Budget):
         self.aig, self.stats, self.budget = aig, stats, budget
         self.fraig = Aig()
-        self.solver = CdclSolver()
-        self.var: dict[int, int] = {}  # fraig node -> solver variable
-        self.input_var: dict = {}  # input label -> solver variable
-        ins, ands = aig.cone(roots)
-        self.labels = sorted(aig.label(i) for i in ins)
-        # the simulation's rounds are the low bits, so a sweep of one root
-        # starts from what simulation saw of it
-        words, self.width = dict.fromkeys(self.labels, 0), 0
-        for width, part in _patterns(self.labels, seed, _SWEEP_BITS):
-            for lbl in self.labels:
-                words[lbl] |= part[lbl] << self.width
-            self.width += width
+        solver = self.solver = CdclSolver()
+
+        def emit(clause) -> None:  # over the solver, not self: no cycle to outlive the call
+            solver.add_clause(clause)
+            stats.cnf_clauses += 1
+
+        self.enc = Tseitin(self.fraig, emit)
+        self.labels = list(words)
+        self.width = _SIM_ROUNDS * _SIM_WIDTH + _SWEEP_BITS
         self.sig = aig.simulate(words, (1 << self.width) - 1)
         self.edge = {0: TRUE}  # original node -> fraig edge
         stats.sweep_proved = stats.sweep_refuted = 0
+        ins, ands = aig.cone(roots)
         self._run(sorted(ins + ands))
 
     def _key(self, n: int) -> int:
@@ -256,43 +254,17 @@ class _Sweep:
                 heads = {self._key(h): h for h in heads.values()}
             edge[n] = e
 
-    def _lit(self, edge: int) -> int:
-        """The solver literal of a fraig edge, encoding its cone on first use."""
-        fraig, var = self.fraig, self.var
-        stack = [edge >> 1]
-        while stack:
-            i = stack[-1]
-            if i in var:
-                stack.pop()
-                continue
-            node = fraig.nodes[i]
-            if node[0] == "and":
-                todo = [c >> 1 for c in node[1:] if c >> 1 not in var]
-                if todo:
-                    stack += todo
-                    continue
-            stack.pop()
-            v = var[i] = len(var) + 1
-            if node[0] == "in":
-                self.input_var[node[1]] = v
-            elif node[0] == "and":
-                la, lb = (-var[c >> 1] if c & 1 else var[c >> 1] for c in node[1:])
-                for clause in ((-v, la), (-v, lb), (v, -la, -lb)):
-                    self.solver.add_clause(clause)
-                self.stats.cnf_clauses += 3
-        v = var[edge >> 1]
-        return -v if edge & 1 else v
-
     def _prove(self, e: int, want: int) -> str:
         """Try to prove a node's fraig edge `e` equal to `want`, its class
         head's: "unsat" merges them, "sat" splits the class, "unknown"
         gives up."""
         if self.budget.exhausted():
             return "unknown"
+        lit = self.enc.lit
         if want >> 1 == 0:
-            queries = [[self._lit(e ^ want ^ 1)]]
+            queries = [[lit(e ^ want ^ 1)]]
         else:
-            x, y = self._lit(e), self._lit(want)
+            x, y = lit(e), lit(want)
             queries = [[x, -y], [-x, y]]
         for q in queries:
             status, model = self.solver.solve(q, self.budget, _PAIR_CONFLICTS)
@@ -302,8 +274,7 @@ class _Sweep:
             if status != "unsat":
                 return status
         for q in queries:
-            self.solver.add_clause([-l for l in q])
-            self.stats.cnf_clauses += 1
+            self.enc.emit([-l for l in q])
         self.stats.sweep_proved += 1
         return "unsat"
 
@@ -313,7 +284,7 @@ class _Sweep:
         k = len(self.labels) + 1
         words = {}
         for j, lbl in enumerate(self.labels, 1):
-            v = self.input_var.get(lbl)
+            v = self.enc.input_var.get(lbl)
             words[lbl] = ((1 << k) - 1 if v and model[v] else 0) ^ (1 << j)
         new = self.aig.simulate(words, (1 << k) - 1)
         self.sig = [s | (w << self.width) for s, w in zip(self.sig, new)]
@@ -330,16 +301,14 @@ class _Sweep:
         self.stats.method = "sat"
         if self.budget.exhausted():
             return None, None, None
-        status, model = self.solver.solve([self._lit(e)], self.budget)
+        lit = self.enc.lit
+        status, model = self.solver.solve([lit(e)], self.budget)
         if status != "sat":
             return (None if status == "unknown" else True), None, None
-        ins, _ = self.aig.cone([root])
-        var_of = {}
-        for i in ins:
-            lbl = self.aig.label(i)
-            var_of[lbl] = self._lit(self.fraig.input_(lbl))
+        labels = map(self.aig.label, self.aig.cone([root])[0])
+        var_of = {lbl: lit(self.fraig.input_(lbl)) for lbl in labels}
         model = {lbl: int(model.get(v, False)) for lbl, v in var_of.items()}
-        return False, model, (self.solver, var_of, [self._lit(e)])
+        return False, model, (self.solver, var_of, [lit(e)])
 
 
 def check_equivalence(
@@ -361,9 +330,14 @@ def check_equivalence(
         roots = {po: miter.outputs[po][2] for po in miter.golden.primary_outputs}
     else:
         roots = {None: miter.root}
-    found = {po: _simulate_root(aig, root, stats, seed) for po, root in roots.items()}
+    # one draw and one simulation for every non-constant root
+    live = [root for root in roots.values() if root >> 1]
+    words = _patterns([aig.label(i) for i in aig.cone(live)[0]], seed)
+    sim = aig.evaluate(words, live, mask=(1 << _SIM_ROUNDS * _SIM_WIDTH) - 1) if live else []
+    hit = dict(zip(live, sim))
+    found = {po: _settle(root, hit.get(root), words, stats) for po, root in roots.items()}
     open_roots = [root for po, root in roots.items() if found[po] is None]
-    sweep = _Sweep(aig, open_roots, seed, stats, budget) if open_roots else None
+    sweep = _Sweep(aig, open_roots, words, stats, budget) if open_roots else None
     per: dict[str, bool | None] = {}
     witness = None
     for po, root in roots.items():

@@ -1,4 +1,4 @@
-"""Tseitin encoding and a small incremental CDCL solver.
+"""Lazy Tseitin encoding and a small incremental CDCL solver.
 
 The solver is deliberately deterministic: decisions break activity ties by
 variable index, phases start at False, and there are no restarts or
@@ -38,6 +38,43 @@ class Cnf:
     root_lit: int
 
 
+class Tseitin:
+    """Lazy Tseitin encoding of an AIG: `lit(edge)` is an edge's literal.
+    A node's first use numbers it and every unnumbered node below it, fanins
+    first, from 1 up, and hands each and-node's three clauses to `emit`."""
+
+    def __init__(self, aig, emit):
+        self.aig, self.emit = aig, emit
+        self.var: dict[int, int] = {}  # node -> variable
+        self.input_var: dict = {}  # input label -> variable
+
+    def lit(self, edge: int) -> int:
+        nodes, var, emit = self.aig.nodes, self.var, self.emit
+        stack = [edge >> 1]
+        while stack:
+            i = stack[-1]
+            if i in var:
+                stack.pop()
+                continue
+            node = nodes[i]
+            if node[0] == "and":
+                a, b = node[1], node[2]
+                va, vb = var.get(a >> 1), var.get(b >> 1)
+                if va is None or vb is None:  # fanins first, b's on top
+                    stack += [c >> 1 for c, vc in ((a, va), (b, vb)) if vc is None]
+                    continue
+            stack.pop()
+            v = var[i] = len(var) + 1
+            if node[0] == "in":
+                self.input_var[node[1]] = v
+            elif node[0] == "and":
+                la, lb = -va if a & 1 else va, -vb if b & 1 else vb
+                for clause in ((-v, la), (-v, lb), (v, -la, -lb)):
+                    emit(clause)
+        v = var[edge >> 1]
+        return -v if edge & 1 else v
+
+
 def cnf_from_aig(aig, root: int) -> Cnf:
     """Encode the cone of `root` with one clause asserting it true.
 
@@ -47,29 +84,13 @@ def cnf_from_aig(aig, root: int) -> Cnf:
     if root >> 1 == 0:
         raise ValueError("constant root needs no CNF")
     ins, ands = aig.cone([root])
-    var_of: dict[int, int] = {}
-    input_vars: dict = {}
-    var_labels: dict[int, str] = {}
-    for i in sorted(ins, key=aig.label):
-        var_of[i] = len(var_of) + 1
-        input_vars[aig.label(i)] = var_of[i]
-        var_labels[var_of[i]] = str(aig.label(i))
-    for i in ands:
-        var_of[i] = len(var_of) + 1
-
-    def lit(edge: int) -> int:
-        v = var_of[edge >> 1]
-        return -v if edge & 1 else v
-
     clauses: list[tuple[int, ...]] = []
-    for i in ands:
-        _, a, b = aig.nodes[i]
-        v, la, lb = var_of[i], lit(a), lit(b)
-        clauses.append((-v, la))
-        clauses.append((-v, lb))
-        clauses.append((v, -la, -lb))
-    clauses.append((lit(root),))
-    return Cnf(len(var_of), clauses, input_vars, var_labels, lit(root))
+    enc = Tseitin(aig, clauses.append)
+    for i in ins + ands:
+        enc.lit(2 * i)
+    clauses.append((enc.lit(root),))
+    var_labels = {v: str(lbl) for lbl, v in enc.input_var.items()}
+    return Cnf(len(enc.var), clauses, enc.input_var, var_labels, enc.lit(root))
 
 
 def to_dimacs(cnf: Cnf) -> str:

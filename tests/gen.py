@@ -281,6 +281,24 @@ def ripple_adder(n_bits: int) -> Netlist:
     return parse_netlist("\n".join(lines) + "\n", name=f"ripple{n_bits}")
 
 
+def late_b_ripple16() -> tuple[Netlist, Netlist]:
+    """sfqify(ripple16) balanced for every b input arriving one cycle late:
+    each b is read through a BUF while sfqify pads the paths, and the BUF is
+    then deleted, so paths from b are one stage shorter."""
+    spec = ripple_adder(16)
+    buf = {pi: f"late_{pi}" for pi in spec.primary_inputs if pi.startswith("b")}
+    gates = [Gate(get_kind("BUF"), (pi,), b) for pi, b in buf.items()]
+    gates += [Gate(g.kind, tuple(buf.get(i, i) for i in g.inputs), g.output) for g in spec.gates]
+    padded = sfqify(Netlist(spec.name, spec.primary_inputs, spec.primary_outputs, tuple(gates)))
+    back = {b: pi for pi, b in buf.items()}
+    kept = tuple(
+        Gate(g.kind, tuple(back.get(i, i) for i in g.inputs), g.output)
+        for g in padded.gates
+        if g.output not in back
+    )
+    return Netlist("late_b16", spec.primary_inputs, spec.primary_outputs, kept), spec
+
+
 def kogge_stone_adder(n_bits: int) -> Netlist:
     lines = []
     for i in range(n_bits):

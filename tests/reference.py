@@ -1,13 +1,18 @@
-"""Straight-line references for the front end's rewritten hot paths.
+"""Straight-line references for rewritten hot paths.
 
 `parse_netlist`, `Netlist`'s validation and topological order,
 `base_distances` and `build_mcid` were rewritten to cut per-gate overhead.
 These are the plain loops they replaced, kept so that
 tests/test_front_end_reference.py can require equal results and identical
 error messages.
+
+`simulation_witness` is the decide phase's simulation pre-pass as it ran
+round by round, before one draw served every round; tests/test_miter.py
+requires the same witness from the one wide simulation.
 """
 
 import heapq
+import random
 import re
 
 from sfqlec.checks import DISTANCE_CAP, BaseDistanceSet
@@ -199,3 +204,20 @@ def build_mcid(netlist, profile) -> MCIDCircuit:
     return MCIDCircuit(
         netlist.name, tuple(netlist.primary_inputs), gates, timed_inputs, outputs, duplicated
     )
+
+
+def simulation_witness(aig, root: int, seed, rounds: int = 8, width: int = 64):
+    """The first distinguishing assignment of `rounds` rounds of `width`
+    seeded random patterns, drawn and simulated one round at a time: the
+    lowest set lane of the first round that sets the root.  None when no
+    round does."""
+    ins, _ = aig.cone([root])
+    labels = sorted(aig.label(i) for i in ins)
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        words = {lbl: rng.getrandbits(width) for lbl in labels}
+        (res,) = aig.evaluate(words, [root], mask=(1 << width) - 1)
+        if res:
+            bit = (res & -res).bit_length() - 1
+            return {lbl: (words[lbl] >> bit) & 1 for lbl in labels}
+    return None

@@ -9,10 +9,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from gen import kogge_stone_adder, ripple_adder, sfqify
-from sfqlec import Gate, Netlist, inject, write_netlist
+from gen import kogge_stone_adder, late_b_ripple16, ripple_adder, sfqify
+from sfqlec import inject, write_netlist
 from sfqlec.cli import main
-from sfqlec.netlist import get_kind
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -44,24 +43,6 @@ def test_tracer_sees_every_name_on_a_faulted_verify(tmp_path, monkeypatch, capsy
     assert f"canon-sat-calls {counts['sat.canon_solves']}" in out
 
 
-def late_b_ripple16() -> tuple[Netlist, Netlist]:
-    """sfqify(ripple16) balanced for every b input arriving one cycle late:
-    each b is read through a BUF while sfqify pads the paths, and the BUF is
-    then deleted, so paths from b are one stage shorter."""
-    spec = ripple_adder(16)
-    buf = {pi: f"late_{pi}" for pi in spec.primary_inputs if pi.startswith("b")}
-    gates = [Gate(get_kind("BUF"), (pi,), b) for pi, b in buf.items()]
-    gates += [Gate(g.kind, tuple(buf.get(i, i) for i in g.inputs), g.output) for g in spec.gates]
-    padded = sfqify(Netlist(spec.name, spec.primary_inputs, spec.primary_outputs, tuple(gates)))
-    back = {b: pi for pi, b in buf.items()}
-    kept = tuple(
-        Gate(g.kind, tuple(back.get(i, i) for i in g.inputs), g.output)
-        for g in padded.gates
-        if g.output not in back
-    )
-    return Netlist("late_b16", spec.primary_inputs, spec.primary_outputs, kept), spec
-
-
 def test_tracer_keeps_each_front_end_phase_under_its_name(tmp_path, monkeypatch, capsys):
     impl, spec = late_b_ripple16()
     (tmp_path / "impl.bench").write_text(write_netlist(impl))
@@ -83,10 +64,28 @@ def test_tracer_keeps_each_front_end_phase_under_its_name(tmp_path, monkeypatch,
     # the counts of the straight-line front end (tests/reference.py)
     pinned = {
         "netlist.gates": 994,
-        "checks.violations": 880,
+        "checks.violations": 0,  # balanced for its --arrivals schedule
         "mcid.gates": 850,
         "mcid.duplicated": 0,
         "itcl.pins": 33,
         "miter.aig_nodes": 146,
     }
     assert {k: counts[k] for k in pinned} == pinned
+
+
+def test_tracer_sees_one_simulation_in_a_swept_verify(tmp_path, monkeypatch, capsys):
+    (tmp_path / "impl.bench").write_text(write_netlist(sfqify(kogge_stone_adder(16))))
+    (tmp_path / "spec.bench").write_text(write_netlist(ripple_adder(16)))
+    tracer = load_spans(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        code = main(["verify", str(tmp_path / "impl.bench"), str(tmp_path / "spec.bench")])
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "method sweep" in out
+    assert tracer.missing == []
+    _, counts = tracer.take()
+    assert counts["miter.method_sweep"] == 1
+    assert counts["aig.evaluate_calls"] == 1  # one simulation per decision

@@ -8,7 +8,8 @@ from circuits import (
     SPLIT_RECONVERGE_BENCH,
     split_reconverge_golden,
 )
-from sfqlec import parse_netlist, write_netlist
+from gen import late_b_ripple16
+from sfqlec import builtin_profile, check_path_balance, parse_netlist, write_netlist
 from sfqlec.cli import main
 from sfqlec.itcl import MAX_LATENESS
 
@@ -127,6 +128,29 @@ def test_verify_arrivals_flip_the_verdict(work, capsys):
     assert "verdict equivalent" in out
     assert "method sweep" in out
     assert "matched-step -5" in out
+
+
+def test_verify_balance_warnings_follow_the_arrival_schedule(work, capsys):
+    def warnings(*argv):
+        code, _, err = run(capsys, "verify", *argv)
+        return code, [line for line in err.splitlines() if line.startswith("WARNING")]
+
+    # d one cycle late balances the fast branch; the slow DFF chain is then
+    # one stage too deep
+    assert warnings(work / "late_d.bench", work / "late_d_golden.bench", "--arrivals", "d:1") == (
+        0,
+        [
+            "WARNING VIOLATION UnbalancedFanin orm fanin msp at depth 3 vs r3 at depth 4",
+            "WARNING VIOLATION UnbalancedFanin out fanin orm has path lengths {4,5}",
+            "WARNING VIOLATION UnequalOutputDepth out path lengths {5,6}",
+        ],
+    )
+    impl, spec = late_b_ripple16()
+    assert not check_path_balance(impl, builtin_profile("rsfq")).passed
+    (work / "late_b.bench").write_text(write_netlist(impl))
+    (work / "ripple16.bench").write_text(write_netlist(spec))
+    late = ",".join(f"{pi}:1" for pi in spec.primary_inputs if pi.startswith("b"))
+    assert warnings(work / "late_b.bench", work / "ripple16.bench", "--arrivals", late) == (0, [])
 
 
 def test_verify_report_is_deterministic(work, capsys):

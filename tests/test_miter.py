@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import reference
 from circuits import (
     late_d_golden,
     late_d_netlist,
@@ -34,7 +35,8 @@ from sfqlec import (
 )
 from sfqlec import miter as miter_module
 from sfqlec.aig import FALSE, TRUE
-from sfqlec.miter import MiterError
+from sfqlec.miter import MiterError, VerdictStats, _lex_min_model
+from sfqlec.sat import Budget
 from sfqlec.sim import SimError
 
 RSFQ = builtin_profile("rsfq")
@@ -237,3 +239,43 @@ def test_sweep_pairs_that_give_up_stay_unmerged(monkeypatch):
             assert verdict.trace == full.trace, cap
             if verdict.equivalent is False:
                 assert replay_trace(impl, ripple_adder(8), verdict.trace, RSFQ)
+
+
+def test_one_wide_simulation_finds_the_round_by_round_witness(monkeypatch):
+    """y = x1 against an impl that differs where x1..x8 are all 1 and
+    x9 == x10: 2 patterns in 1,024, so a witness lands in any of the 8
+    rounds or in none, and its x9/x10 bits change the canonicalization."""
+    names = [f"x{i}" for i in range(1, 11)]
+    head = "".join(f"INPUT({n})\n" for n in names) + "OUTPUT(y)\n"
+    spec = parse_netlist(head + "y = BUF(x1)\n", name="spec")
+    impl = sfqify(parse_netlist(
+        head
+        + "".join(f"p{i} = AND2({'p' if i > 2 else 'x'}{i - 1}, x{i})\n" for i in range(2, 9))
+        + "e = XNOR2(x9, x10)\nh = AND2(p8, e)\ny = XOR2(x1, h)\n",
+        name="impl",
+    ))
+    miter = build_miter(build_mcid(impl, RSFQ), spec)
+    starts = []
+
+    def recording(aig, root, model, *args):
+        starts.append(model)
+        return lex_min(aig, root, model, *args)
+
+    lex_min = miter_module._lex_min_model
+    monkeypatch.setattr(miter_module, "_lex_min_model", recording)
+    methods = set()
+    for seed in range(40):
+        want = reference.simulation_witness(miter.aig, miter.root, seed)
+        starts.clear()
+        verdict = check_equivalence(miter, seed=seed)
+        assert verdict.equivalent is False, seed
+        methods.add(verdict.stats.method)
+        if want is None:
+            assert verdict.stats.method == "sat", seed
+            continue
+        assert verdict.stats.method == "simulation", seed
+        assert starts == [want], seed
+        stats = VerdictStats()
+        _lex_min_model(miter.aig, miter.root, want, stats, Budget())
+        assert verdict.stats.canon_sat_calls == stats.canon_sat_calls, seed
+    assert methods == {"simulation", "sat"}

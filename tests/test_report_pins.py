@@ -153,3 +153,45 @@ def test_real_size_front_end_outputs_are_pinned(tmp_path, capsys):
         (0, KS16_SWAP_FAULT_SHA256),
         (3, KS16_NODFF_CHECK_SHA256),
     ]
+
+
+# sha256 of `verify` stdout + `--cnf` file for sfqify(ks16) against ripple16
+# (decided by the sweep) and for its `remove-dff --seed 0` fault (decided by
+# the final solve, with a canonical trace)
+KS16_SWEEP_CNF_SHA256 = "6d72604b746ef396d4bf26b52a1e7828a1ca1103a32c8cc8abb1e306e611e6ba"
+KS16_NODFF_CNF_SHA256 = "e9c1fb53c321813fcd203b0303ae8c9f63678ab6cd4cced8e8903581caeef30a"
+
+
+def test_swept_adder_reports_and_cnf_are_pinned(tmp_path, capsys):
+    ks16 = tmp_path / "ks16.bench"
+    ks16.write_text(write_netlist(sfqify(kogge_stone_adder(16))))
+    spec = tmp_path / "spec.bench"
+    spec.write_text(write_netlist(ripple_adder(16)))
+    nodff = tmp_path / "nodff.bench"
+    assert run(capsys, "inject-fault", ks16, "--kind", "remove-dff", "--seed", 0, "--out", nodff)[0] == 0
+    cnf = tmp_path / "m.cnf"
+    got = []
+    for impl in (ks16, nodff):
+        code, out = run(capsys, "verify", impl, spec, "--cnf", cnf)
+        got.append((code, hashlib.sha256((out + cnf.read_text()).encode()).hexdigest()))
+    assert got == [(0, KS16_SWEEP_CNF_SHA256), (1, KS16_NODFF_CNF_SHA256)]
+
+
+# sha256 of `verify --per-output` stdout for `inject swap-gate seed=2` in
+# sfqify(ks16) against ripple16: simulation refutes s3, the sweep proves the
+# other outputs.  Regenerated on purpose when every live output began to
+# share one pattern draw: s3's simulation witness changed, and with it
+# `canon-sat-calls` (1 before, 2 now); the verdicts and the trace did not.
+KS16_SWAP2_PER_OUTPUT_SHA256 = "3003e4a38188fa04cd813aabb59c1d105c53d1670bac5178c1dec72e873581a3"
+
+
+def test_mixed_per_output_report_is_pinned(tmp_path, capsys):
+    impl, _ = inject(sfqify(kogge_stone_adder(16)), "swap-gate", seed=2)
+    (tmp_path / "impl.bench").write_text(write_netlist(impl))
+    (tmp_path / "spec.bench").write_text(write_netlist(ripple_adder(16)))
+    code, out = run(
+        capsys, "verify", tmp_path / "impl.bench", tmp_path / "spec.bench", "--per-output"
+    )
+    assert code == 1
+    assert "output s3 inequivalent" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == KS16_SWAP2_PER_OUTPUT_SHA256
