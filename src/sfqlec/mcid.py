@@ -83,25 +83,34 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
                 sig = memo[key] = TimedSignal(net, t)
                 pins.append(sig)
                 continue
-            kind, ins = gate.kind, gate.inputs
-            s = t if kind.name in non_clocked else t - 1  # the step its fanins are read at
-            if kind.name == "SPLIT":
-                src = (ins[0], s)
-                if src in memo:
-                    memo[key] = memo[src]
-                else:
+            kind, ins, _ = gate
+            name = kind.name
+            s = t if name in non_clocked else t - 1  # the step its fanins are read at
+            # every kind has one or two inputs; a missing ins[0] is pushed last, popped first
+            a = (ins[0], s)
+            fa = memo.get(a)
+            if len(ins) == 1:
+                if fa is None:
                     push(key)
-                    push(src)
-                continue
-            fanins = tuple([memo.get((i, s)) for i in ins])
-            if None in fanins:
-                push(key)
-                for i in reversed(ins):
-                    if (i, s) not in memo:
-                        push((i, s))
-                continue
+                    push(a)
+                    continue
+                if name == "SPLIT":  # elided: the net aliases its fanin's copy
+                    memo[key] = fa
+                    continue
+                fanins = (fa,)
+            else:
+                b = (ins[1], s)
+                fb = memo.get(b)
+                if fa is None or fb is None:
+                    push(key)
+                    if fb is None:
+                        push(b)
+                    if fa is None:
+                        push(a)
+                    continue
+                fanins = (fa, fb)
             sig = memo[key] = TimedSignal(net, t)
-            gates.append(Gate(buf if kind.name == "DFF" else kind, fanins, sig))
+            gates.append(Gate(buf if name == "DFF" else kind, fanins, sig))
 
     timed_inputs = tuple(sorted(set(pins)))
     outputs = {po: memo[(po, 0)] for po in netlist.primary_outputs}

@@ -24,9 +24,10 @@ witnesses do not depend on solver internals or on which pass found them.
 The greedy pass walks the cone inputs in that order.  A bit already 0 stays
 0; a set bit is first flipped to 0 and the root re-evaluated, and only when
 that loses the disagreement does one incremental solver per root answer
-whether some assignment extends the fixed prefix with a 0, under
-assumptions: the sweep's solver when its final solve found the witness,
-else a fresh one over the root's CNF.
+whether some assignment extends the fixed prefix with a 0: the sweep's
+solver when its final solve found the witness, else a fresh one over the
+root's CNF.  The fixed prefix goes in as level-0 unit clauses, once per
+bit; only the bit under test (and the sweep's root literal) is assumed.
 
 One `Budget` of conflicts and seconds covers every sweep call, the final
 solve of every root and every canonicalization call.  When it runs out
@@ -130,7 +131,11 @@ def _lex_min_model(
 
     `sat` is (solver, label -> variable, assumptions asserting the root)
     when the decision already has a solver; otherwise the root's own CNF
-    is built on first need.
+    is built on first need.  Bits the greedy has passed never change
+    again, so before each call they go into the solver as level-0 units.
+    They agree with the current witness, which every solver clause (the
+    encoding and the sweep's proved merges) admits, so they cannot make
+    the solver unsat.
     """
     ins, ands = aig.cone([root])
     if len(ins) * max(1, len(ands)) > _CANON_CAP:
@@ -138,6 +143,7 @@ def _lex_min_model(
         return model
     labels = [aig.label(i) for i in ins]
     cur = {lbl: model.get(lbl, 0) for lbl in labels}
+    fixed = 0  # labels[:fixed] are units in the solver
     for k, lbl in enumerate(labels):
         if not cur[lbl]:
             continue
@@ -149,8 +155,10 @@ def _lex_min_model(
             cnf = cnf_from_aig(aig, root)
             sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars, []
         solver, var_of, base = sat
-        prefix = [var_of[l] if cur[l] else -var_of[l] for l in labels[:k]]
-        status, m = solver.solve(base + prefix + [-var_of[lbl]], budget)
+        for l in labels[fixed:k]:
+            solver.add_clause([var_of[l] if cur[l] else -var_of[l]])
+        fixed = k
+        status, m = solver.solve(base + [-var_of[lbl]], budget)
         stats.canon_sat_calls += 1
         if status == "unknown":
             stats.trace_canonical = "budget"

@@ -9,16 +9,22 @@ error messages.
 `simulation_witness` is the decide phase's simulation pre-pass as it ran
 round by round, before one draw served every round; tests/test_miter.py
 requires the same witness from the one wide simulation.
+
+`lex_min_model` is trace canonicalization as it assumed the whole fixed
+prefix on every solver call, before the prefix became level-0 units;
+tests/test_canonical.py requires the same traces and verdict statistics.
 """
 
 import heapq
 import random
 import re
 
+from sfqlec import miter
 from sfqlec.checks import DISTANCE_CAP, BaseDistanceSet
 from sfqlec.mcid import MCIDCircuit, TimedSignal
 from sfqlec.netlist import BenchParseError, Gate, NetlistError, get_kind
 from sfqlec.profiles import KINDS
+from sfqlec.sat import CdclSolver, cnf_from_aig
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.@-]*"
 _NAME_RE = re.compile(rf"^{_NAME}$")
@@ -221,3 +227,35 @@ def simulation_witness(aig, root: int, seed, rounds: int = 8, width: int = 64):
             bit = (res & -res).bit_length() - 1
             return {lbl: (words[lbl] >> bit) & 1 for lbl in labels}
     return None
+
+
+def lex_min_model(aig, root: int, model: dict, stats, budget, sat=None) -> dict:
+    """`miter._lex_min_model` with the fixed prefix assumed, one decision
+    level per literal, on every call."""
+    ins, ands = aig.cone([root])
+    if len(ins) * max(1, len(ands)) > miter._CANON_CAP:
+        stats.trace_canonical = "capped"
+        return model
+    labels = [aig.label(i) for i in ins]
+    cur = {lbl: model.get(lbl, 0) for lbl in labels}
+    for k, lbl in enumerate(labels):
+        if not cur[lbl]:
+            continue
+        cur[lbl] = 0
+        if aig.evaluate(cur, [root])[0]:
+            continue
+        cur[lbl] = 1
+        if sat is None:
+            cnf = cnf_from_aig(aig, root)
+            sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars, []
+        solver, var_of, base = sat
+        prefix = [var_of[l] if cur[l] else -var_of[l] for l in labels[:k]]
+        status, m = solver.solve(base + prefix + [-var_of[lbl]], budget)
+        stats.canon_sat_calls += 1
+        if status == "unknown":
+            stats.trace_canonical = "budget"
+            return cur
+        if status == "sat":
+            cur = {l: int(m[var_of[l]]) for l in labels}
+    stats.trace_canonical = "yes"
+    return cur

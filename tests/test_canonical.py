@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import reference
 from circuits import LATE_D_BENCH, LATE_D_GOLDEN_BENCH, SPLIT_RECONVERGE_BENCH
 from gen import kogge_stone_adder, mutate_comb, random_comb, random_pipeline, ripple_adder, sfqify
 from sfqlec import (
@@ -96,6 +97,24 @@ def test_trace_is_the_brute_force_lex_min(monkeypatch):
             by_sat = check_equivalence(miter, seed=seed)
         assert by_sat.stats.method == "sat", seed
         assert by_sat.trace == want, seed
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_unit_prefix_matches_the_assumed_prefix(width, monkeypatch):
+    """Fixing the passed prefix as level-0 units, instead of assuming it on
+    every call, changes no trace and no count: faulted sfqify(ksN) against
+    rippleN, canonicalized on the sweep's solver or on a fresh one."""
+    base, spec = sfqify(kogge_stone_adder(width)), ripple_adder(width)
+    calls = 0
+    for kind, seed in itertools.product(("swap-gate", "remove-dff"), range(12)):
+        miter = make_miter(inject(base, kind, seed=seed)[0], spec)
+        got = check_equivalence(miter)
+        with monkeypatch.context() as m:
+            m.setattr(miter_module, "_lex_min_model", reference.lex_min_model)
+            want = check_equivalence(miter)
+        assert (got.trace, got.stats) == (want.trace, want.stats), (kind, seed)
+        calls += got.stats.canon_sat_calls
+    assert calls > 0
 
 
 # ks16 with `inject swap-gate seed=0` (s14 XOR2->OR2): simulation finds a

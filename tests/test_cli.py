@@ -1,3 +1,7 @@
+import gc
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -434,3 +438,83 @@ def test_missing_subcommand_exits_argparse_style(capsys):
     with pytest.raises(SystemExit):
         main([])
     assert "usage:" in capsys.readouterr().err
+
+
+# One case per command and per exit-2 path: (exit code, argv over the `work` files).
+COMMANDS = {
+    "verify-structural": (0, "verify", "reconv.bench", "reconv_golden.bench"),
+    "verify-sweep": (0, "verify", "reconv.bench", "reconv_reduced.bench"),
+    "verify-simulation": (1, "verify", "late_d.bench", "late_d_golden.bench"),
+    "check-structure": (3, "check-structure", "late_d.bench"),
+    "build-mcid": (0, "build-mcid", "late_d.bench", "--arrivals", "d:2"),
+    "inject-fault": (0, "inject-fault", "late_d.bench", "--kind", "swap-gate"),
+    "simulate": (0, "simulate", "late_d.bench", "--waves", "in.waves"),
+    "parse-error": (2, "check-structure", "broken.bench"),
+    "missing-file": (2, "verify", "nope.bench", "late_d_golden.bench"),
+    "bad-arrivals": (2, "verify", "late_d.bench", "late_d_golden.bench", "--arrivals", "d:x"),
+}
+
+
+def work_argv(work, argv):
+    (work / "in.waves").write_text("a=0 b=1 c=1 d=0\nd=1\n")
+    (work / "broken.bench").write_text("INPUT(a)\nOUTPUT(y)\ny = AND2(a)\n")
+    return [str(work / a) if a.endswith((".bench", ".waves")) else a for a in argv]
+
+
+@pytest.fixture()
+def collector_off():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_commands_leave_no_cyclic_garbage(work, capsys, collector_off, name):
+    """The collector pause defers nothing: reference counting alone frees
+    what a command built, once first-use setup (the parser) is done."""
+    code, *argv = COMMANDS[name]
+    args = work_argv(work, argv)
+    assert main(args) == code
+    gc.collect()
+    assert main(args) == code
+    capsys.readouterr()
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "name", ["verify-structural", "verify-simulation", "missing-file", "check-structure"]
+)
+def test_main_restores_the_collector_state(work, capsys, collector_off, enabled, name):
+    """On exit codes 0, 1, 2 and 3 alike."""
+    if enabled:
+        gc.enable()
+    code, *argv = COMMANDS[name]
+    assert main(work_argv(work, argv)) == code
+    assert gc.isenabled() is enabled
+
+
+# Counts the argparse parsers built while `sfqlec.cli` is imported, then
+# builds the parser once to show that the count sees it.
+IMPORT_PROBE = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+sys.path.insert(0, sys.argv[1])
+import sfqlec.cli
+on_import = len(built)
+sfqlec.cli.build_parser()
+print(on_import, len(built) > 0)
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_PROBE, os.path.abspath(src)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "0 True\n"

@@ -19,12 +19,18 @@ from sfqlec import (
     parse_netlist,
 )
 from sfqlec.mcid import TimedSignal
+from sfqlec.profiles import KINDS
 
 RSFQ = builtin_profile("rsfq")
 
 
 def names(mcid):
     return {str(g.output) for g in mcid.gates}
+
+
+def test_every_kind_takes_one_or_two_inputs():
+    # build_mcid reads a gate's fanins by arity: a wider kind needs a new case there
+    assert {k.arity for k in KINDS.values()} == {1, 2}
 
 
 def test_timed_signal_renders_with_step():

@@ -92,12 +92,14 @@ out@t0 = AND2(mD@t-1, orm@t-1)
 KS16_SWAP_SHA256 = "53515be71d1851b7e77676ddf4ae4f41222bfcbf9a35d6d154c2807cf5391835"
 
 
-# sha256 of stdout for three commands on sfqify(ks16): the model dump (its
-# emission order), a swap-gate fault (the writer's topological order) and
-# the structural check of a remove-dff fault (violation text and order)
+# sha256 of stdout for four commands on sfqify(ks16): the model dump (its
+# emission order), a swap-gate fault (the writer's topological order), the
+# structural check of a remove-dff fault (violation text and order) and that
+# fault's model dump (27 duplicated gates: shared copies at two steps)
 KS16_MCID_SHA256 = "bdbcdb0c18e60705d4aaab7f74c909d2223371f267479495f83d2e11bdd1600d"
 KS16_SWAP_FAULT_SHA256 = "50154d9517573627e01403786d81620cbb29174be82f16639283815ec7d80ab6"
 KS16_NODFF_CHECK_SHA256 = "7762ae2e190d59da7349b8fc106a355337d3ae22504cdb80d9f829ca0ae2bc7f"
+KS16_NODFF_MCID_SHA256 = "5a339100421f3b9b6e190c96162ed69e0df9b559145e9a51f183381e3833d178"
 
 
 @pytest.fixture()
@@ -147,11 +149,13 @@ def test_real_size_front_end_outputs_are_pinned(tmp_path, capsys):
         run(capsys, "build-mcid", ks16),
         run(capsys, "inject-fault", ks16, "--kind", "swap-gate", "--seed", 0),
         run(capsys, "check-structure", nodff),
+        run(capsys, "build-mcid", nodff),
     ]
     assert [(code, hashlib.sha256(out.encode()).hexdigest()) for code, out in got] == [
         (0, KS16_MCID_SHA256),
         (0, KS16_SWAP_FAULT_SHA256),
         (3, KS16_NODFF_CHECK_SHA256),
+        (0, KS16_NODFF_MCID_SHA256),
     ]
 
 
