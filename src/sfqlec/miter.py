@@ -22,12 +22,15 @@ Counterexample models are canonicalized to the lexicographically smallest
 satisfying assignment (inputs ordered by name, then step, preferring 0), so
 witnesses do not depend on solver internals or on which pass found them.
 The greedy pass walks the cone inputs in that order.  A bit already 0 stays
-0; a set bit is first flipped to 0 and the root re-evaluated, and only when
-that loses the disagreement does one incremental solver per root answer
-whether some assignment extends the fixed prefix with a 0: the sweep's
-solver when its final solve found the witness, else a fresh one over the
-root's CNF.  The fixed prefix goes in as level-0 unit clauses, once per
-bit; only the bit under test (and the sweep's root literal) is assumed.
+0; a set bit is first flipped to 0, and only when that loses the
+disagreement does one incremental solver per root answer whether some
+assignment extends the fixed prefix with a 0: the sweep's solver when its
+final solve found the witness, else a fresh one over the root's CNF.  The
+flips are tested a run at a time: one simulation of up to `_SIM_WIDTH`
+lanes, lane i with the next i + 1 set bits cleared, keeps every flip before
+the first lane that loses the root and hands that lane's bit to the solver.
+The fixed prefix goes in as level-0 unit clauses, once per solver call;
+only the bit under test (and the sweep's root literal) is assumed.
 
 One `Budget` of conflicts and seconds covers every sweep call, the final
 solve of every root and every canonicalization call.  When it runs out
@@ -38,6 +41,7 @@ cones too large to canonicalize (`_CANON_CAP`) say "capped".
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .aig import Aig, FALSE, TRUE
 from .errors import SfqlecError
@@ -129,6 +133,9 @@ def _lex_min_model(
 ) -> dict:
     """Fix cone inputs to 0 in order wherever the root stays satisfiable.
 
+    Each simulation tests the next run of up to `_SIM_WIDTH` set bits: the
+    flips before the first one that loses the root are kept, and only that
+    one goes to the solver, so the calls are those of a bit-by-bit walk.
     `sat` is (solver, label -> variable, assumptions asserting the root)
     when the decision already has a solver; otherwise the root's own CNF
     is built on first need.  Bits the greedy has passed never change
@@ -144,13 +151,25 @@ def _lex_min_model(
     labels = [aig.label(i) for i in ins]
     cur = {lbl: model.get(lbl, 0) for lbl in labels}
     fixed = 0  # labels[:fixed] are units in the solver
-    for k, lbl in enumerate(labels):
-        if not cur[lbl]:
+    k = 0  # labels[:k] are settled
+    while True:
+        # lane i clears the window's first i + 1 set bits
+        window = list(islice((j for j in range(k, len(labels)) if cur[labels[j]]), _SIM_WIDTH))
+        if not window:
+            break
+        mask = (1 << len(window)) - 1
+        words = {lbl: mask if v else 0 for lbl, v in cur.items()}
+        for i, j in enumerate(window):
+            words[labels[j]] = (1 << i) - 1
+        drop = ~aig.evaluate(words, [root], mask)[0] & mask
+        i = (drop & -drop).bit_length() - 1 if drop else len(window)
+        for j in window[:i]:
+            cur[labels[j]] = 0
+        if not drop:
+            k = window[-1] + 1
             continue
-        cur[lbl] = 0
-        if aig.evaluate(cur, [root])[0]:
-            continue
-        cur[lbl] = 1
+        k = window[i]
+        lbl = labels[k]
         if sat is None:
             cnf = cnf_from_aig(aig, root)
             sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars, []
@@ -165,6 +184,7 @@ def _lex_min_model(
             return cur
         if status == "sat":
             cur = {l: int(m[var_of[l]]) for l in labels}
+        k += 1
     stats.trace_canonical = "yes"
     return cur
 
@@ -374,15 +394,9 @@ def check_equivalence(
 
 def extract_trace(miter: Miter, model: dict) -> TimedTrace:
     """Turn a distinguishing assignment into a cycle-by-cycle trace."""
-    aig = miter.aig
-    failing = None
-    bits = (0, 0)
-    for po in miter.golden.primary_outputs:
-        ie, ge, _ = miter.outputs[po]
-        iv, gv = aig.evaluate(model, [ie, ge])
+    pos = miter.golden.primary_outputs
+    vals = miter.aig.evaluate(model, [e for po in pos for e in miter.outputs[po][:2]])
+    for po, iv, gv in zip(pos, vals[::2], vals[1::2]):
         if iv != gv:
-            failing, bits = po, (iv, gv)
-            break
-    if failing is None:
-        raise MiterError("assignment does not distinguish the two sides")
-    return TimedTrace.from_model(miter.mcid, miter.matching, model, failing, bits)
+            return TimedTrace.from_model(miter.mcid, miter.matching, model, po, (iv, gv))
+    raise MiterError("assignment does not distinguish the two sides")

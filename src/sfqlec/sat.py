@@ -258,13 +258,20 @@ class CdclSolver:
         once; one left with none, or a propagation that conflicts, makes
         the solver unsat for good (`ok` False).
         """
-        lits = sorted(set(lits), key=lambda l: (abs(l), l))
-        if lits:
+        lits = sorted(set(lits), key=abs)  # a tautology's l and -l side by side
+        if lits and abs(lits[-1]) > self.nv:
             self._grow(abs(lits[-1]))
-        if not self.ok or any(-l in lits or self._val(l) == 1 for l in lits):
-            return  # unsat for good already, a tautology, or true at level 0
-        if self.trail:  # drop literals false at level 0
-            lits = [l for l in lits if self._val(l) == 0]
+        if not self.ok:
+            return
+        value, keep, prev = self.value, [], 0
+        for l in lits:
+            v = value[l] if l > 0 else -value[-l]
+            if v == 1 or l == -prev:
+                return  # true at level 0, or a tautology
+            if v == 0:  # drop literals false at level 0
+                keep.append(l)
+            prev = l
+        lits = keep
         if not lits:
             self.ok = False
         elif len(lits) == 1:
@@ -279,11 +286,12 @@ class CdclSolver:
 
     def _propagate(self):
         value, clauses, watches, trail = self.value, self.clauses, self.watches, self.trail
+        level, reason, phase = self.level, self.reason, self.phase
         lvl = len(self.trail_lim)
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             neg = -lit
             ws = watches.get(neg)
             if not ws:
@@ -313,14 +321,18 @@ class CdclSolver:
                     j += 1
                     if fv == -1:
                         ws[j:] = ws[i:]
+                        self.qhead = qhead
+                        self.stats.propagations += qhead - start
                         return ci
                     v = first if first > 0 else -first
                     value[v] = 1 if first > 0 else -1
-                    self.level[v] = lvl
-                    self.reason[v] = ci
-                    self.phase[v] = first > 0
+                    level[v] = lvl
+                    reason[v] = ci
+                    phase[v] = first > 0
                     trail.append(first)
             del ws[j:]
+        self.qhead = qhead
+        self.stats.propagations += qhead - start
         return None
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:

@@ -12,7 +12,11 @@ requires the same witness from the one wide simulation.
 
 `lex_min_model` is trace canonicalization as it assumed the whole fixed
 prefix on every solver call, before the prefix became level-0 units;
-tests/test_canonical.py requires the same traces and verdict statistics.
+tests/test_canonical.py requires the same traces and verdict statistics,
+and the same models from the greedy that tests a window of bits per
+simulation.  `extract_trace` is the trace builder as it simulated the
+graph once per output until one differed; tests/test_canonical.py
+requires the same trace from one simulation of every output.
 """
 
 import heapq
@@ -25,6 +29,7 @@ from sfqlec.mcid import MCIDCircuit, TimedSignal
 from sfqlec.netlist import BenchParseError, Gate, NetlistError, get_kind
 from sfqlec.profiles import KINDS
 from sfqlec.sat import CdclSolver, cnf_from_aig
+from sfqlec.trace import TimedTrace
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.@-]*"
 _NAME_RE = re.compile(rf"^{_NAME}$")
@@ -259,3 +264,15 @@ def lex_min_model(aig, root: int, model: dict, stats, budget, sat=None) -> dict:
             cur = {l: int(m[var_of[l]]) for l in labels}
     stats.trace_canonical = "yes"
     return cur
+
+
+def extract_trace(miter_, model: dict):
+    """`miter.extract_trace` with one simulation per output, in spec order,
+    up to the first that differs."""
+    aig = miter_.aig
+    for po in miter_.golden.primary_outputs:
+        ie, ge, _ = miter_.outputs[po]
+        iv, gv = aig.evaluate(model, [ie, ge])
+        if iv != gv:
+            return TimedTrace.from_model(miter_.mcid, miter_.matching, model, po, (iv, gv))
+    raise miter.MiterError("assignment does not distinguish the two sides")

@@ -18,8 +18,10 @@ from sfqlec import (
     check_equivalence,
     extract_trace,
     inject,
+    parse_netlist,
     replay_trace,
 )
+from sfqlec.aig import FALSE, Aig
 from sfqlec.errors import SfqlecError
 from sfqlec import miter as miter_module
 from sfqlec.cli import main
@@ -115,6 +117,80 @@ def test_unit_prefix_matches_the_assumed_prefix(width, monkeypatch):
         assert (got.trace, got.stats) == (want.trace, want.stats), (kind, seed)
         calls += got.stats.canon_sat_calls
     assert calls > 0
+
+
+def same_as_per_bit(aig, root, witness):
+    """`_lex_min_model` and the per-bit reference give the same model and
+    statistics from one witness; the model and the solver calls made."""
+    got, want = VerdictStats(), VerdictStats()
+    model = _lex_min_model(aig, root, witness, got, Budget())
+    assert model == reference.lex_min_model(aig, root, witness, want, Budget())
+    assert got == want
+    return model, got.canon_sat_calls
+
+
+def test_a_long_run_of_cleared_bits_spans_several_windows():
+    """root = OR(x000..x149) AND (x150 OR x151): from all ones the greedy
+    clears 149 bits in a row, over three windows, before the solver is
+    needed, then clears x150 and needs it again for x151."""
+    aig = Aig()
+    xs = [aig.input_(f"x{i:03}") for i in range(152)]
+    wide = FALSE
+    for x in xs[:150]:
+        wide = aig.or_(wide, x)
+    root = aig.and_(wide, aig.or_(xs[150], xs[151]))
+    model, calls = same_as_per_bit(aig, root, {aig.label(x >> 1): 1 for x in xs})
+    assert [lbl for lbl, v in model.items() if v] == ["x149", "x151"]
+    assert calls == 2
+    # a set bit every third input: a window reaches past 64 inputs
+    sparse = {f"x{i:03}": int(i % 3 == 0) for i in range(152)}
+    assert same_as_per_bit(aig, root, sparse)[0] == model
+
+
+def test_a_first_bit_that_needs_the_solver():
+    """root = x0 ? x1 : x2 from x0 = x1 = 1, x2 = 0: clearing x0 loses the
+    root in lane 0 and the solver's model (x2 set) replaces the witness."""
+    aig = Aig()
+    x0, x1, x2 = (aig.input_(f"x{i}") for i in range(3))
+    root = aig.or_(aig.and_(x0, x1), aig.and_(x0 ^ 1, x2))
+    model, calls = same_as_per_bit(aig, root, {"x0": 1, "x1": 1, "x2": 0})
+    assert model == {"x0": 0, "x1": 0, "x2": 1}
+    assert calls == 2  # x0 by the solver, then x2, which must stay set
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_narrow_windows_match_the_per_bit_greedy(width, monkeypatch):
+    """Faulted sfqify(ks8/ks16) against ripple, from the witness the decide
+    phase hands over, with windows of 1, 2 and 3 lanes."""
+    witnesses = []
+    lex_min = miter_module._lex_min_model
+
+    def recording(aig, root, model, *args):
+        witnesses.append((aig, root, model))
+        return lex_min(aig, root, model, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(miter_module, "_lex_min_model", recording)
+        for n in (8, 16):
+            base, spec = sfqify(kogge_stone_adder(n)), ripple_adder(n)
+            for kind, seed in itertools.product(("swap-gate", "remove-dff"), range(4)):
+                check_equivalence(make_miter(inject(base, kind, seed=seed)[0], spec))
+    monkeypatch.setattr(miter_module, "_SIM_WIDTH", width)
+    calls = sum(same_as_per_bit(*w)[1] for w in witnesses)
+    assert len(witnesses) > 10 and calls > 0
+
+
+def test_trace_names_the_first_differing_output_in_spec_order():
+    """Under a = 1, b = 0 both outputs differ; the spec declares z first."""
+    spec = parse_netlist("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(w)\nz = OR2(a, b)\nw = BUF(b)\n")
+    impl = parse_netlist("INPUT(a)\nINPUT(b)\nOUTPUT(w)\nOUTPUT(z)\nz = AND2(a, b)\nw = INV(b)\n")
+    miter = make_miter(impl, spec)
+    a, b = (miter.matching.matched[pi] for pi in "ab")
+    for bits, po, impl_bit, golden_bit in [((1, 0), "z", 0, 1), ((1, 1), "w", 0, 1), ((0, 0), "w", 1, 0)]:
+        model = dict(zip((a, b), bits))
+        trace = extract_trace(miter, model)
+        assert (trace.output_name, trace.mcid_output, trace.golden_output) == (po, impl_bit, golden_bit)
+        assert trace == reference.extract_trace(miter, model)
 
 
 # ks16 with `inject swap-gate seed=0` (s14 XOR2->OR2): simulation finds a

@@ -1,8 +1,10 @@
 """Incremental solving: assumptions, reuse across calls, shared budgets."""
 
+import hashlib
 import random
+from dataclasses import astuple
 
-from sfqlec.sat import Budget, CdclSolver
+from sfqlec.sat import Budget, CdclSolver, SolverStats
 
 
 def random_3cnf(rng, num_vars, num_clauses):
@@ -217,3 +219,44 @@ def test_decision_heap_picks_what_a_scan_picks(monkeypatch):
     assert by_heap[1][2].conflicts > 256  # activities were halved on the way
     monkeypatch.setattr(CdclSolver, "_decide", scan_decide)
     assert work() == by_heap
+
+
+def search_path(seeds=range(40)):
+    """What the solver does on seeded call sequences: every call's
+    (status, model), then the summed `SolverStats` and every final clause
+    list.  Calls run under per-call conflict caps; between calls go a unit,
+    a tautology, a clause with a duplicate literal and one with a literal
+    already false at level 0."""
+    calls, clauses, total = [], [], [0, 0, 0, 0]
+    for seed in seeds:
+        rng = random.Random(7000 + seed)
+        nv = rng.randint(15, 40)
+        solver = CdclSolver(nv, random_3cnf(rng, nv, int(4.2 * nv)))
+        for _ in range(6):
+            cap = rng.choice([None, 1, 4, 30])
+            status, model = solver.solve(random_assumptions(rng, nv), max_conflicts=cap)
+            calls.append((status, sorted(model.items()) if model else None))
+            a, b, c = random_3cnf(rng, nv, 1)[0]
+            solver.add_clause((a, -a, b))
+            solver.add_clause((a, b, a, c))
+            false = [-l for l in solver.trail]  # level 0: every trail literal is fixed
+            if false:
+                solver.add_clause((rng.choice(false), b, c))
+            if rng.random() < 0.5:
+                solver.add_clause((c,))
+        total = [t + n for t, n in zip(total, astuple(solver.stats))]
+        clauses.append(solver.clauses)
+    return sha256(calls), SolverStats(*total), sha256(clauses)
+
+
+def sha256(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_search_path_is_pinned():
+    """Propagation order, watch lists and clause layout decide every model
+    the solver returns; a speed-up of the solver must keep all three."""
+    calls, stats, clauses = search_path()
+    assert calls == "99edd383efe2fc44d504338a494462f755889782e8dc2a075ea8ff078e500161"
+    assert stats == SolverStats(decisions=735, conflicts=563, propagations=6962, learned=495)
+    assert clauses == "a1c4dd95fd44685699533617ef4701f85fb8d4d21bf97dfd41415273bd7b5df0"
