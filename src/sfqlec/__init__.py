@@ -18,7 +18,7 @@ from .mcid import (
     dependency_window,
     mcid_size_upper_bound,
 )
-from .miter import Miter, Verdict, VerdictStats, build_miter, check_equivalence, extract_trace
+from .miter import Miter, Verdict, VerdictStats, build_miter, check_equivalence, extract_trace, verify
 from .netlist import (
     Gate,
     Netlist,
@@ -81,6 +81,7 @@ __all__ = [
     "resolve_profile",
     "simulate",
     "to_dimacs",
+    "verify",
     "write_netlist",
     "__version__",
 ]

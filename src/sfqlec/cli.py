@@ -8,6 +8,7 @@ identical bytes; wall-clock numbers go to stderr and to --report-tsv.
 """
 
 import argparse
+import dataclasses
 import functools
 import gc
 import os
@@ -19,7 +20,7 @@ from .errors import SfqlecError
 from .faults import FAULT_KINDS, inject
 from .itcl import MAX_LATENESS, ArrivalSchedule, apply_itcl
 from .mcid import build_mcid
-from .miter import build_miter, check_equivalence
+from .miter import verify
 from .netlist import circuit_depth, parse_netlist, write_netlist
 from .profiles import resolve_profile
 from .sat import cnf_from_aig, to_dimacs
@@ -31,6 +32,7 @@ EXIT_INEQUIVALENT = 1
 EXIT_ERROR = 2
 EXIT_REJECTED = 3
 EXIT_UNDECIDED = 4
+VERDICT_WORDS = {True: "equivalent", False: "inequivalent", None: "unknown"}
 
 
 def _read(path: str) -> str:
@@ -74,9 +76,7 @@ def cmd_check_structure(args) -> int:
 def cmd_build_mcid(args) -> int:
     netlist = _load(args.netlist)
     profile = resolve_profile(args.profile)
-    mcid = build_mcid(netlist, profile)
-    if args.arrivals:
-        mcid = apply_itcl(mcid, ArrivalSchedule.parse(args.arrivals))
+    mcid = apply_itcl(build_mcid(netlist, profile), ArrivalSchedule.parse(args.arrivals or ""))
     bench = mcid.to_bench()
     if args.out:
         _write(args.out, bench)
@@ -93,72 +93,50 @@ def cmd_build_mcid(args) -> int:
     return EXIT_EQUIVALENT
 
 
-def _verdict_word(equivalent) -> str:
-    if equivalent is None:
-        return "unknown"
-    return "equivalent" if equivalent else "inequivalent"
-
-
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     netlist = _load(args.netlist)
     golden = _load(args.golden)
     profile = resolve_profile(args.profile)
+    schedule = ArrivalSchedule.parse(args.arrivals or "")
+    run = verify(
+        netlist, golden, profile, schedule, args.po_only_balance,
+        max_conflicts=args.max_conflicts, max_seconds=args.max_seconds,
+        seed=args.seed, per_output=args.per_output,
+    )
     lines = [f"netlist {netlist.name}", f"golden {golden.name}", f"profile {profile.name}"]
-
-    fan = check_fanout(netlist, profile)
-    if not fan.passed:
-        lines += fan.lines()
+    if not run.fanout.passed:
+        lines += run.fanout.lines()
         lines.append("verdict rejected")
         _emit(lines, args.report)
         _finish(args, netlist.name, "rejected", "none", t0)
         return EXIT_REJECTED
-    # balance is judged for the declared arrivals; no schedule is all zeros
-    schedule = ArrivalSchedule.parse(args.arrivals or "")
-    shifts = schedule.shifts(netlist.primary_inputs)
-    bal = check_path_balance(netlist, profile, po_only=args.po_only_balance, shifts=shifts)
-    for v in bal.violations:
+    for v in run.balance.violations:
         print(f"WARNING {v.line()}", file=sys.stderr)
 
-    mcid = apply_itcl(build_mcid(netlist, profile), schedule)
-    miter = build_miter(mcid, golden)
+    miter, verdict = run.miter, run.verdict
     if args.cnf:
         if miter.root >> 1 == 0:
             _write(args.cnf, "p cnf 0 0\n" if miter.root == 0 else "p cnf 0 1\n0\n")
         else:
             _write(args.cnf, to_dimacs(cnf_from_aig(miter.aig, miter.root)))
-    verdict = check_equivalence(
-        miter,
-        max_conflicts=args.max_conflicts,
-        max_seconds=args.max_seconds,
-        seed=args.seed,
-        per_output=args.per_output,
-    )
 
-    lo, hi = mcid.window
-    word = _verdict_word(verdict.equivalent)
+    lo, hi = miter.mcid.window
+    word = VERDICT_WORDS[verdict.equivalent]
     s = verdict.stats
     lines += [
-        f"mcid-gates {mcid.gate_count}",
-        f"mcid-duplicated {mcid.duplicated_gate_count}",
+        f"mcid-gates {miter.mcid.gate_count}",
+        f"mcid-duplicated {miter.mcid.duplicated_gate_count}",
         f"window {lo}..{hi}",
         f"matched-step {miter.matching.t_star}",
         f"verdict {word}",
-        f"method {s.method}",
-        f"aig-nodes {s.aig_nodes}",
-        f"cnf-vars {s.cnf_vars}",
-        f"cnf-clauses {s.cnf_clauses}",
-        f"decisions {s.decisions}",
-        f"conflicts {s.conflicts}",
-        f"propagations {s.propagations}",
-        f"canon-sat-calls {s.canon_sat_calls}",
     ]
-    if s.sweep_proved is not None:
-        lines += [f"sweep-proved {s.sweep_proved}", f"sweep-refuted {s.sweep_refuted}"]
-    if verdict.trace is not None:
-        lines.append(f"trace-canonical {s.trace_canonical}")
+    for f in dataclasses.fields(s):
+        value = getattr(s, f.name)
+        if value is not None and value != "":
+            lines.append(f"{f.name.replace('_', '-')} {value}")
     if verdict.per_output is not None:
-        lines += [f"output {po} {_verdict_word(v)}" for po, v in verdict.per_output.items()]
+        lines += [f"output {po} {VERDICT_WORDS[v]}" for po, v in verdict.per_output.items()]
     if verdict.trace is not None:
         if args.trace:
             _write(args.trace, verdict.trace.format())

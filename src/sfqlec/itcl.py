@@ -50,9 +50,6 @@ class ArrivalSchedule:
             lateness[name] = cycles
         return cls(lateness)
 
-    def format(self) -> str:
-        return ",".join(f"{pi}:{self.lateness[pi]}" for pi in sorted(self.lateness))
-
     def validate(self, pis: tuple[str, ...]) -> None:
         known = set(pis)
         for name, cycles in self.lateness.items():
@@ -113,7 +110,6 @@ def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:
 class InputMatching:
     t_star: int
     matched: dict[str, TimedSignal]  # spec input name -> model pin
-    free: tuple[TimedSignal, ...]  # model pins left unconstrained
 
 
 def match_inputs(mcid: MCIDCircuit, golden_pis: list[str]) -> InputMatching:
@@ -144,6 +140,4 @@ def match_inputs(mcid: MCIDCircuit, golden_pis: list[str]) -> InputMatching:
         else:
             best = min(steps, key=lambda s: (abs(s - t_star), s))
             matched[pi] = TimedSignal(pi, best)
-    bound = set(matched.values())
-    free = tuple(s for s in mcid.timed_inputs if s not in bound)
-    return InputMatching(t_star, matched, free)
+    return InputMatching(t_star, matched)

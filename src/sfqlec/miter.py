@@ -1,4 +1,4 @@
-"""Equivalence checking of an MCID model against a combinational spec.
+"""The verify pipeline (`verify`) and its equivalence decision on a miter.
 
 Both sides are built into one shared and-inverter graph; matched input pins
 are literally the same AIG variable, so a model whose unrolled logic is
@@ -44,10 +44,12 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .aig import Aig, FALSE, TRUE
+from .checks import CheckReport, check_fanout, check_path_balance
 from .errors import SfqlecError
-from .itcl import InputMatching, match_inputs
-from .mcid import MCIDCircuit
+from .itcl import ArrivalSchedule, InputMatching, apply_itcl, match_inputs
+from .mcid import MCIDCircuit, build_mcid
 from .netlist import Netlist, first_pipeline_cell
+from .profiles import RSFQ, TechnologyProfile
 from .sat import Budget, CdclSolver, Tseitin, cnf_from_aig
 from .trace import TimedTrace
 
@@ -74,6 +76,7 @@ class Miter:
 
 @dataclass
 class VerdictStats:
+    """The report's counters, in report order; a None or "" one is left out."""
     method: str = ""
     aig_nodes: int = 0
     cnf_vars: int = 0
@@ -93,6 +96,15 @@ class Verdict:
     trace: TimedTrace | None
     stats: VerdictStats
     per_output: dict[str, bool | None] | None = None
+
+
+@dataclass
+class Run:
+    """What `verify` found; a failed fanout check leaves the rest None."""
+    fanout: CheckReport
+    balance: CheckReport | None = None
+    miter: Miter | None = None  # with the model and the input matching
+    verdict: Verdict | None = None
 
 
 def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:
@@ -400,3 +412,26 @@ def extract_trace(miter: Miter, model: dict) -> TimedTrace:
         if iv != gv:
             return TimedTrace.from_model(miter.mcid, miter.matching, model, po, (iv, gv))
     raise MiterError("assignment does not distinguish the two sides")
+
+
+def verify(
+    netlist: Netlist,
+    golden: Netlist,
+    profile: TechnologyProfile = RSFQ,
+    schedule: ArrivalSchedule = ArrivalSchedule(),
+    po_only_balance: bool = False,
+    **limits,
+) -> Run:
+    """Check `netlist` against the combinational `golden` spec.  A bad
+    schedule raises before any check; a fanout violation (not a balance
+    one) stops before unrolling.  `limits` are `check_equivalence`'s
+    keywords.  Pausing the cyclic collector is left to the caller."""
+    shifts = schedule.shifts(netlist.primary_inputs)
+    run = Run(check_fanout(netlist, profile))
+    if not run.fanout.passed:
+        return run
+    # balance is judged for the declared arrivals
+    run.balance = check_path_balance(netlist, profile, po_only=po_only_balance, shifts=shifts)
+    run.miter = build_miter(apply_itcl(build_mcid(netlist, profile), schedule), golden)
+    run.verdict = check_equivalence(run.miter, **limits)
+    return run

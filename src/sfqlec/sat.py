@@ -33,9 +33,7 @@ from dataclasses import dataclass, field
 class Cnf:
     num_vars: int
     clauses: list[tuple[int, ...]]
-    input_vars: dict  # label -> dimacs var
-    var_labels: dict[int, str]  # dimacs var -> printable signal name
-    root_lit: int
+    input_vars: dict  # label -> dimacs var, in variable order
 
 
 class Tseitin:
@@ -89,14 +87,12 @@ def cnf_from_aig(aig, root: int) -> Cnf:
     for i in ins + ands:
         enc.lit(2 * i)
     clauses.append((enc.lit(root),))
-    var_labels = {v: str(lbl) for lbl, v in enc.input_var.items()}
-    return Cnf(len(enc.var), clauses, enc.input_var, var_labels, enc.lit(root))
+    return Cnf(len(enc.var), clauses, enc.input_var)
 
 
 def to_dimacs(cnf: Cnf) -> str:
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for v in sorted(cnf.var_labels):
-        lines.insert(0, f"c var {v} = {cnf.var_labels[v]}")
+    lines = [f"c var {v} = {lbl}" for lbl, v in reversed(cnf.input_vars.items())]
+    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for c in cnf.clauses:
         lines.append(" ".join(map(str, c)) + " 0")
     return "\n".join(lines) + "\n"

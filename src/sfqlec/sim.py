@@ -96,17 +96,16 @@ def replay_trace(
     golden: Netlist,
     trace: TimedTrace,
     profile: TechnologyProfile = RSFQ,
-    schedule: ArrivalSchedule | None = None,
+    schedule: ArrivalSchedule = ArrivalSchedule(),
 ) -> bool:
     """True when both halves of the trace reproduce: the netlist really emits
     mcid_output at the observation cycle and the spec really emits
     golden_output on the matched wave.  `schedule` is the arrival schedule
-    the trace's model was built under, if any."""
+    the trace's model was built under."""
     n = trace.observation_cycle + 1
     fed = [trace.wave(k) for k in range(min(n, trace.n_cycles))]
     fed += [{}] * (n - len(fed))
-    shifts = schedule.shifts(netlist.primary_inputs) if schedule is not None else None
-    for cur in _cycles(netlist, fed, profile, shifts=shifts):
+    for cur in _cycles(netlist, fed, profile, shifts=schedule.shifts(netlist.primary_inputs)):
         pass
     if cur[trace.output_name] != trace.mcid_output:
         return False
@@ -118,7 +117,7 @@ def exhaustive_equivalence(
     netlist: Netlist,
     golden: Netlist,
     profile: TechnologyProfile = RSFQ,
-    schedule: ArrivalSchedule | None = None,
+    schedule: ArrivalSchedule = ArrivalSchedule(),
     max_bits: int = 24,
 ) -> TimedTrace | None:
     """Check every grid assignment at once; only viable for small windows.
@@ -128,11 +127,7 @@ def exhaustive_equivalence(
     the model never samples; those are don't-cares on both sides, so the
     verdict matches the miter's and the trace keeps only sampled pins.
     """
-    mcid = build_mcid(netlist, profile)
-    shifts = None
-    if schedule is not None:
-        mcid = apply_itcl(mcid, schedule)
-        shifts = schedule.shifts(mcid.source_pis)
+    mcid = apply_itcl(build_mcid(netlist, profile), schedule)
     matching = match_inputs(mcid, list(golden.primary_inputs))
     earliest, latest = mcid.window
     steps = range(earliest, latest + 1)
@@ -148,7 +143,7 @@ def exhaustive_equivalence(
         grid[cell] = (((1 << n) - 1) // ((1 << h) + 1)) << h
 
     waves = [{c.net: v for c, v in grid.items() if c.step == s} for s in range(earliest, 1)]
-    for cur in _cycles(netlist, waves, profile, mask, shifts):
+    for cur in _cycles(netlist, waves, profile, mask, schedule.shifts(mcid.source_pis)):
         pass
 
     gold = evaluate_golden(golden, {pi: grid[sig] for pi, sig in matching.matched.items()}, mask)

@@ -13,11 +13,8 @@ from circuits import LATE_D_BENCH, LATE_D_GOLDEN_BENCH, SPLIT_DEEP_CONE_BENCH
 import gen
 from sfqlec import (
     ArrivalSchedule,
-    apply_itcl,
     build_mcid,
-    build_miter,
     builtin_profile,
-    check_equivalence,
     check_path_balance,
     evaluate_golden,
     exhaustive_equivalence,
@@ -25,6 +22,7 @@ from sfqlec import (
     mcid_size_upper_bound,
     parse_netlist,
     replay_trace,
+    verify,
     write_netlist,
 )
 from sfqlec.cli import main
@@ -40,14 +38,6 @@ CANONICAL_LATE_D_TRACE = (
 )
 
 
-def verify(netlist, golden, schedule=None, **kw):
-    """Full pipeline: unroll, align arrivals, match pins, decide the miter."""
-    mcid = build_mcid(netlist, RSFQ)
-    if schedule is not None:
-        mcid = apply_itcl(mcid, schedule)
-    return check_equivalence(build_miter(mcid, golden))
-
-
 def small_pipeline(rng, n_pis=(2, 4), n_gates=(2, 8)):
     comb = gen.random_comb(rng, rng.randint(*n_pis), rng.randint(*n_gates))
     return comb, gen.sfqify(comb)
@@ -58,7 +48,7 @@ def test_criterion_1_late_input_end_to_end():
     netlist = parse_netlist(LATE_D_BENCH)
     golden = parse_netlist(LATE_D_GOLDEN_BENCH)
 
-    verdict = verify(netlist, golden)
+    verdict = verify(netlist, golden).verdict
     assert verdict.equivalent is False
     trace = verdict.trace
     assert trace.format() == CANONICAL_LATE_D_TRACE
@@ -70,7 +60,7 @@ def test_criterion_1_late_input_end_to_end():
     assert trace.mcid_output != trace.golden_output
     assert replay_trace(netlist, golden, trace, RSFQ)
 
-    aligned = verify(netlist, golden, schedule=ArrivalSchedule.parse("d:1"))
+    aligned = verify(netlist, golden, schedule=ArrivalSchedule.parse("d:1")).verdict
     assert aligned.equivalent is True
 
     elapsed = time.monotonic() - t0
@@ -126,7 +116,7 @@ def test_criterion_3_miter_agrees_with_exhaustive_model():
         span = max(steps) - min(steps) + 1  # waves the input pins cover
         assert len(impl.primary_inputs) <= 8 and span <= 3
         want = exhaustive_equivalence(impl, golden, RSFQ)
-        got = verify(impl, golden)
+        got = verify(impl, golden).verdict
         assert got.equivalent == (want is None), f"seed {seed}"
         if want is not None:
             assert replay_trace(impl, golden, want, RSFQ), f"seed {seed}"
@@ -242,7 +232,7 @@ def test_criterion_6_fault_detection(tmp_path, capsys):
             except FaultError:
                 continue
             confirmed = exhaustive_equivalence(faulted, comb, RSFQ) is not None
-            verdict = verify(faulted, comb)
+            verdict = verify(faulted, comb).verdict
             if not confirmed:
                 # function-preserving injection: must not be reported faulty
                 assert verdict.equivalent is True
@@ -287,14 +277,14 @@ def test_criterion_7_adder_scale():
         assert 2000 <= len(impl.gates) <= 6000
 
         t0 = time.monotonic()
-        clean = verify(impl, comb)
+        clean = verify(impl, comb).verdict
         clean_s = time.monotonic() - t0
         assert clean.equivalent is True
         assert clean_s < 10.0
 
         faulted, spec = inject(impl, "swap-gate", seed=swap_seed)
         t0 = time.monotonic()
-        bad = verify(faulted, comb)
+        bad = verify(faulted, comb).verdict
         fault_s = time.monotonic() - t0
         assert bad.equivalent is False, spec.line()
         assert replay_trace(faulted, comb, bad.trace, RSFQ)

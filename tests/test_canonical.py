@@ -20,6 +20,7 @@ from sfqlec import (
     inject,
     parse_netlist,
     replay_trace,
+    verify,
 )
 from sfqlec.aig import FALSE, Aig
 from sfqlec.errors import SfqlecError
@@ -174,7 +175,7 @@ def test_narrow_windows_match_the_per_bit_greedy(width, monkeypatch):
         for n in (8, 16):
             base, spec = sfqify(kogge_stone_adder(n)), ripple_adder(n)
             for kind, seed in itertools.product(("swap-gate", "remove-dff"), range(4)):
-                check_equivalence(make_miter(inject(base, kind, seed=seed)[0], spec))
+                verify(inject(base, kind, seed=seed)[0], spec)
     monkeypatch.setattr(miter_module, "_SIM_WIDTH", width)
     calls = sum(same_as_per_bit(*w)[1] for w in witnesses)
     assert len(witnesses) > 10 and calls > 0
@@ -250,7 +251,7 @@ def test_conflict_budget_spans_all_outputs(conflict_log):
 
 def test_time_budget_keeps_a_valid_trace(faulted_ks16):
     impl, golden = faulted_ks16
-    verdict = check_equivalence(make_miter(impl, golden), max_seconds=0.0)
+    verdict = verify(impl, golden, max_seconds=0.0).verdict
     assert verdict.equivalent is False
     assert verdict.stats.trace_canonical == "budget"
     assert verdict.stats.canon_sat_calls <= 1
@@ -260,7 +261,7 @@ def test_time_budget_keeps_a_valid_trace(faulted_ks16):
 def test_oversized_cone_is_reported_as_capped(faulted_ks16, monkeypatch):
     impl, golden = faulted_ks16
     monkeypatch.setattr(miter_module, "_CANON_CAP", 0)
-    verdict = check_equivalence(make_miter(impl, golden))
+    verdict = verify(impl, golden).verdict
     assert verdict.equivalent is False
     assert verdict.stats.trace_canonical == "capped"
     assert verdict.stats.canon_sat_calls == 0

@@ -165,13 +165,19 @@ def test_verify_report_is_deterministic(work, capsys):
     assert "decisions " in first and "aig-nodes " in first
 
 
-def test_verify_rejects_broken_fanout_before_unrolling(work, capsys):
+def bypass_dsp(work, capsys):
+    """late_d with splitter dsp bypassed: d has two readers, a fanout violation."""
     faulty = work / "faulty.bench"
     run(
         capsys,
         "inject-fault", work / "late_d.bench",
         "--kind", "remove-splitter", "--target", "dsp", "--out", faulty,
     )
+    return faulty
+
+
+def test_verify_rejects_broken_fanout_before_unrolling(work, capsys):
+    faulty = bypass_dsp(work, capsys)
     code, out, _ = run(capsys, "verify", faulty, work / "late_d_golden.bench")
     assert code == 3
     assert "verdict rejected" in out
@@ -363,6 +369,22 @@ def test_bad_arrivals_are_a_config_error(work, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "arrivals, message",
+    [
+        ("d:x", "bad arrival entry 'd:x', expected name:cycles"),
+        ("zz:1", "arrival schedule names unknown input zz"),
+        ("d:5000", f"arrival of d is 5000 cycles late, limit is {MAX_LATENESS}"),
+        ("d:-1", "arrival of d is negative (-1)"),
+    ],
+    ids=["not-a-number", "unknown-input", "above-limit", "negative"],
+)
+def test_bad_arrivals_are_reported_before_a_fanout_rejection(work, capsys, arrivals, message):
+    faulty = bypass_dsp(work, capsys)
+    got = run(capsys, "verify", faulty, work / "late_d_golden.bench", "--arrivals", arrivals)
+    assert got == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "build-mcid"])

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -23,7 +24,6 @@ from gen import (
 )
 from sfqlec import (
     ArrivalSchedule,
-    apply_itcl,
     build_mcid,
     build_miter,
     builtin_profile,
@@ -32,9 +32,11 @@ from sfqlec import (
     inject,
     parse_netlist,
     replay_trace,
+    verify,
 )
 from sfqlec import miter as miter_module
 from sfqlec.aig import FALSE, TRUE
+from sfqlec.itcl import ItclError
 from sfqlec.miter import MiterError, VerdictStats, _lex_min_model
 from sfqlec.sat import Budget
 from sfqlec.sim import SimError
@@ -49,16 +51,12 @@ CANONICAL_LATE_D_TRACE = (
 )
 
 
-def make_miter(netlist, golden, schedule=None, profile=RSFQ):
-    mcid = build_mcid(netlist, profile)
-    if schedule is not None:
-        mcid = apply_itcl(mcid, schedule)
-    return build_miter(mcid, golden)
+def make_miter(netlist, golden):
+    return build_miter(build_mcid(netlist, RSFQ), golden)
 
 
 def test_late_arrival_is_inequivalent_with_canonical_trace():
-    miter = make_miter(late_d_netlist(), late_d_golden())
-    verdict = check_equivalence(miter)
+    verdict = verify(late_d_netlist(), late_d_golden()).verdict
     assert verdict.equivalent is False
     assert verdict.trace.format() == CANONICAL_LATE_D_TRACE
     assert replay_trace(late_d_netlist(), late_d_golden(), verdict.trace, RSFQ)
@@ -66,34 +64,32 @@ def test_late_arrival_is_inequivalent_with_canonical_trace():
 
 def test_counterexample_is_seed_independent():
     for seed in range(6):
-        miter = make_miter(late_d_netlist(), late_d_golden())
-        verdict = check_equivalence(miter, seed=seed)
+        verdict = verify(late_d_netlist(), late_d_golden(), seed=seed).verdict
         assert verdict.equivalent is False
         assert verdict.trace.format() == CANONICAL_LATE_D_TRACE, seed
 
 
 def test_arrival_schedule_flips_the_verdict():
     sched = ArrivalSchedule.parse("d:1")
-    miter = make_miter(late_d_netlist(), late_d_golden(), schedule=sched)
-    verdict = check_equivalence(miter)
+    verdict = verify(late_d_netlist(), late_d_golden(), schedule=sched).verdict
     assert verdict.equivalent is True
     assert verdict.trace is None
     assert verdict.stats.method == "sweep"
 
 
 def test_matched_structure_collapses_without_solving():
-    miter = make_miter(split_reconverge_netlist(), split_reconverge_golden())
-    assert miter.root == FALSE
-    verdict = check_equivalence(miter)
+    run = verify(split_reconverge_netlist(), split_reconverge_golden())
+    assert run.miter.root == FALSE
+    verdict = run.verdict
     assert verdict.equivalent is True
     assert verdict.stats.method == "structural"
     assert verdict.stats.decisions == 0 and verdict.stats.conflicts == 0
 
 
 def test_reduced_golden_needs_the_solver():
-    miter = make_miter(split_reconverge_netlist(), split_reconverge_golden_reduced())
-    assert miter.root not in (TRUE, FALSE)
-    verdict = check_equivalence(miter)
+    run = verify(split_reconverge_netlist(), split_reconverge_golden_reduced())
+    assert run.miter.root not in (TRUE, FALSE)
+    verdict = run.verdict
     assert verdict.equivalent is True
     assert verdict.stats.method == "sweep"
     assert verdict.stats.cnf_vars > 0
@@ -136,8 +132,7 @@ def test_per_output_verdicts():
         "INPUT(a)\nINPUT(b)\nOUTPUT(good)\nOUTPUT(bad)\n"
         "good = AND2(a, b)\nbad = AND2(a, b)\n"
     )
-    miter = make_miter(impl, gold)
-    verdict = check_equivalence(miter, per_output=True)
+    verdict = verify(impl, gold, per_output=True).verdict
     assert verdict.equivalent is False
     assert verdict.per_output == {"good": True, "bad": False}
     assert verdict.stats.method == "per-output"
@@ -146,8 +141,7 @@ def test_per_output_verdicts():
 
 
 def test_unknown_under_a_conflict_budget():
-    miter = make_miter(split_reconverge_netlist(), split_reconverge_golden_reduced())
-    verdict = check_equivalence(miter, max_conflicts=1)
+    verdict = verify(split_reconverge_netlist(), split_reconverge_golden_reduced(), max_conflicts=1).verdict
     if verdict.equivalent is None:  # proof needs more than one conflict
         assert verdict.trace is None
     else:
@@ -164,7 +158,7 @@ def test_agrees_with_exhaustive_on_random_pipelines(profile_name):
         impl = sfqify(comb)
         golden = comb if rng.random() < 0.4 else mutate_comb(rng, comb)
         want = exhaustive_equivalence(impl, golden, profile)
-        verdict = check_equivalence(make_miter(impl, golden, profile=profile))
+        verdict = verify(impl, golden, profile).verdict
         assert verdict.equivalent == (want is None), seed
         if want is not None:
             assert replay_trace(impl, golden, want, profile), seed
@@ -188,7 +182,7 @@ def test_arrival_traces_replay_and_agree_with_exhaustive(profile_name):
             want = exhaustive_equivalence(impl, golden, profile, schedule=schedule, max_bits=12)
         except SimError:  # input grid too wide to enumerate
             continue
-        verdict = check_equivalence(make_miter(impl, golden, schedule, profile))
+        verdict = verify(impl, golden, profile, schedule).verdict
         assert verdict.equivalent == (want is None), seed
         if want is not None:
             assert replay_trace(impl, golden, want, profile, schedule), seed
@@ -202,9 +196,9 @@ def test_arrival_traces_replay_and_agree_with_exhaustive(profile_name):
 def test_sweep_decides_ks64_against_ripple64():
     # one solve of the whole miter needs 20,048 conflicts; the sweep merges
     # the carries the two adders share, and the root becomes FALSE
-    miter = make_miter(sfqify(kogge_stone_adder(64)), ripple_adder(64))
+    impl, spec = sfqify(kogge_stone_adder(64)), ripple_adder(64)
     t0 = time.monotonic()
-    verdict = check_equivalence(miter, max_conflicts=5000)
+    verdict = verify(impl, spec, max_conflicts=5000).verdict
     assert time.monotonic() - t0 < 10.0
     assert verdict.equivalent is True
     assert verdict.stats.method == "sweep"
@@ -219,7 +213,7 @@ def test_sweep_decides_the_parity_pair():
         want = {f"y{j}": parity_value(asn, j) for j in range(8)}
         assert eval_comb(spec, asn) == want == eval_comb(nand, asn)
     # one solve of the whole miter is still undecided after 60,000 conflicts
-    verdict = check_equivalence(make_miter(sfqify(nand), spec), max_conflicts=5000)
+    verdict = verify(sfqify(nand), spec, max_conflicts=5000).verdict
     assert verdict.equivalent is True
     assert verdict.stats.method == "sweep"
 
@@ -227,14 +221,14 @@ def test_sweep_decides_the_parity_pair():
 def test_sweep_pairs_that_give_up_stay_unmerged(monkeypatch):
     ks8 = sfqify(kogge_stone_adder(8))
     impls = [ks8] + [inject(ks8, "swap-gate", seed=s)[0] for s in range(6)]
-    want = [check_equivalence(make_miter(impl, ripple_adder(8))) for impl in impls]
+    want = [verify(impl, ripple_adder(8)).verdict for impl in impls]
     assert {v.equivalent for v in want} == {True, False}
     # no simulation verdict, and sweep queries that give up at once or soon
     monkeypatch.setattr(miter_module, "_SIM_ROUNDS", 0)
     for cap in (0, 1):
         monkeypatch.setattr(miter_module, "_PAIR_CONFLICTS", cap)
         for impl, full in zip(impls, want):
-            verdict = check_equivalence(make_miter(impl, ripple_adder(8)))
+            verdict = verify(impl, ripple_adder(8)).verdict
             assert verdict.equivalent == full.equivalent, cap
             assert verdict.trace == full.trace, cap
             if verdict.equivalent is False:
@@ -279,3 +273,35 @@ def test_one_wide_simulation_finds_the_round_by_round_witness(monkeypatch):
         _lex_min_model(miter.aig, miter.root, want, stats, Budget())
         assert verdict.stats.canon_sat_calls == stats.canon_sat_calls, seed
     assert methods == {"simulation", "sat"}
+
+
+def test_a_fanout_rejection_builds_no_model():
+    faulty, _ = inject(late_d_netlist(), "remove-splitter", target="dsp")
+    run = verify(faulty, late_d_golden())
+    assert not run.fanout.passed
+    assert (run.balance, run.miter, run.verdict) == (None, None, None)
+
+
+@pytest.mark.parametrize("arrivals", ["zz:1", "d:5000", "d:-1"])
+def test_a_bad_schedule_raises_before_the_fanout_check(arrivals):
+    faulty, _ = inject(late_d_netlist(), "remove-splitter", target="dsp")
+    with pytest.raises(ItclError):
+        verify(faulty, late_d_golden(), schedule=ArrivalSchedule.parse(arrivals))
+
+
+def test_dropping_a_run_leaves_no_cyclic_garbage():
+    """With the collector off, reference counting alone frees a run that
+    found, canonicalized and traced a fault."""
+    impl, _ = inject(sfqify(kogge_stone_adder(16)), "swap-gate", seed=0)
+    spec = ripple_adder(16)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run = verify(impl, spec)
+        assert run.verdict.equivalent is False and run.verdict.stats.canon_sat_calls > 0
+        del run
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -13,7 +13,7 @@ import pytest
 
 from circuits import LATE_D_BENCH, LATE_D_GOLDEN_BENCH
 from gen import kogge_stone_adder, ripple_adder, sfqify
-from sfqlec import inject, write_netlist
+from sfqlec import inject, parse_netlist, write_netlist
 from sfqlec.cli import main
 
 LATE_D_VERIFY = """\
@@ -59,6 +59,15 @@ propagations 12
 canon-sat-calls 0
 sweep-proved 1
 sweep-refuted 0
+"""
+
+# late_d with splitter dsp bypassed: the fanout check stops the flow
+LATE_D_NODSP_VERIFY = """\
+netlist late_d_nodsp
+golden late_d_golden
+profile rsfq
+VIOLATION FanoutExceeded d 2 readers, limit 1
+verdict rejected
 """
 
 LATE_D_MCID_D2 = """\
@@ -118,6 +127,13 @@ def test_late_d_verify_report_is_pinned(work, capsys):
     args = ("verify", work / "late_d.bench", work / "late_d_golden.bench")
     assert run(capsys, *args) == (1, LATE_D_VERIFY)
     assert run(capsys, *args, "--arrivals", "d:1") == (0, LATE_D_VERIFY_D1)
+
+
+def test_fanout_rejected_verify_report_is_pinned(work, capsys):
+    faulty, _ = inject(parse_netlist(LATE_D_BENCH), "remove-splitter", target="dsp")
+    (work / "late_d_nodsp.bench").write_text(write_netlist(faulty))
+    args = ("verify", work / "late_d_nodsp.bench", work / "late_d_golden.bench")
+    assert run(capsys, *args) == (3, LATE_D_NODSP_VERIFY)
 
 
 def test_late_d_model_dump_is_pinned(work, capsys):

@@ -103,10 +103,8 @@ def test_cnf_from_aig_variable_order_and_tseitin_shape():
     root = g.and_(a, b)
     cnf = cnf_from_aig(g, root)
     # inputs numbered by (name, step) before and-nodes
-    assert cnf.var_labels[1] == "('a', -2)"
-    assert cnf.var_labels[2] == "('b', -1)"
+    assert cnf.input_vars == {("a", -2): 1, ("b", -1): 2}
     assert cnf.num_vars == 3
-    assert cnf.root_lit == 3
     assert (3, -1, -2) in cnf.clauses or (3, -2, -1) in cnf.clauses
     assert cnf.clauses[-1] == (3,)
 
@@ -116,7 +114,7 @@ def test_cnf_input_order_is_numeric_in_the_step():
     late, early, mid = (g.input_(TimedSignal("n", t)) for t in (-1, -10, -9))
     cnf = cnf_from_aig(g, g.and_(g.and_(late, early), mid))
     # as text "n@t-1" < "n@t-10" < "n@t-9"; as numbers -10 < -9 < -1
-    assert [cnf.var_labels[v] for v in (1, 2, 3)] == ["n@t-10", "n@t-9", "n@t-1"]
+    assert to_dimacs(cnf).splitlines()[:3] == ["c var 3 = n@t-1", "c var 2 = n@t-9", "c var 1 = n@t-10"]
     assert [cnf.input_vars[TimedSignal("n", t)] for t in (-10, -9, -1)] == [1, 2, 3]
 
 
