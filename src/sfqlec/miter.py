@@ -68,10 +68,9 @@ class MiterError(SfqlecError):
 class Miter:
     aig: Aig
     root: int
-    outputs: dict[str, tuple[int, int, int]]  # po -> (impl, golden, differ) edges
+    outputs: dict[str, tuple[int, int, int]]  # po -> (impl, golden, differ) edges, spec order
     matching: InputMatching
     mcid: MCIDCircuit
-    golden: Netlist
 
 
 @dataclass
@@ -137,7 +136,7 @@ def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:
         xe = aig.xor_(ie, ge)
         outputs[po] = (ie, ge, xe)
         root = aig.or_(root, xe)
-    return Miter(aig, root, outputs, matching, mcid, golden)
+    return Miter(aig, root, outputs, matching, mcid)
 
 
 def _lex_min_model(
@@ -367,7 +366,7 @@ def check_equivalence(
     budget = Budget.start(max_conflicts, max_seconds)
     stats = VerdictStats(aig_nodes=len(aig.nodes))
     if per_output:
-        roots = {po: miter.outputs[po][2] for po in miter.golden.primary_outputs}
+        roots = {po: xe for po, (_, _, xe) in miter.outputs.items()}
     else:
         roots = {None: miter.root}
     # one draw and one simulation for every non-constant root
@@ -406,9 +405,8 @@ def check_equivalence(
 
 def extract_trace(miter: Miter, model: dict) -> TimedTrace:
     """Turn a distinguishing assignment into a cycle-by-cycle trace."""
-    pos = miter.golden.primary_outputs
-    vals = miter.aig.evaluate(model, [e for po in pos for e in miter.outputs[po][:2]])
-    for po, iv, gv in zip(pos, vals[::2], vals[1::2]):
+    vals = miter.aig.evaluate(model, [e for ie, ge, _ in miter.outputs.values() for e in (ie, ge)])
+    for po, iv, gv in zip(miter.outputs, vals[::2], vals[1::2]):
         if iv != gv:
             return TimedTrace.from_model(miter.mcid, miter.matching, model, po, (iv, gv))
     raise MiterError("assignment does not distinguish the two sides")

@@ -19,14 +19,18 @@ formula piece by piece as its calls need it.  A `Budget` bounds the
 conflicts and wall-clock time of a whole sequence of calls, across
 solvers, and `solve(..., max_conflicts=k)` caps one call inside it.
 
-Decisions come from MiniSat's indexed binary heap of variables, ordered
-by activity (highest first) and then by index (lowest first).  Assigned
-variables leave it lazily, when popped, and return on backtracking, so
-every decision is the one a scan of all free variables would make.
+Decisions come from a `heapq` list of int keys `-activity << 32 | var`,
+so the smallest key is the highest activity, then the lowest index.
+Entries are lazy: a bump pushes a fresh key and leaves the old one stale,
+a pop drops stale keys and assigned variables, backtracking pushes a freed
+variable back, and halving the activities rebuilds the list.  Every free
+variable has a key at its current activity, so every decision is the one
+a scan of all free variables would make.
 """
 
 import time
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 
 @dataclass
@@ -129,8 +133,8 @@ class CdclSolver:
     """Conflict-driven clause learning over two watched literals.
 
     1-UIP learning, additive activity bumps with periodic halving, phase
-    saving, decisions from an indexed heap.  `stats` accumulates over all
-    calls.
+    saving, decisions from a lazy `heapq` order keyed `-activity << 32 |
+    var`.  `stats` accumulates over all calls.
     """
 
     def __init__(self, num_vars: int = 0, clauses=()):
@@ -143,10 +147,8 @@ class CdclSolver:
         self.reason: list = [None]
         self.activity = [0]
         self.phase = [False]
-        # decision heap: every free variable, and maybe some set ones,
-        # highest activity first, then lowest index
-        self.heap: list[int] = []
-        self.heap_pos = [-1]  # variable -> index in heap, -1 when absent
+        self.order: list[int] = []  # heapq of -activity << 32 | var, some stale
+        self.queued = [False]  # var -> has a key at its current activity
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -164,87 +166,46 @@ class CdclSolver:
         self.reason += [None] * k
         self.activity += [0] * k
         self.phase += [False] * k
-        # activity 0 and the highest indices: the heap's last places
-        self.heap_pos += range(len(self.heap), len(self.heap) + k)
-        self.heap += range(self.nv + 1, num_vars + 1)
+        self.queued += [True] * k
+        # activity 0 and the highest indices: appended, the list is still a heap
+        self.order += range(self.nv + 1, num_vars + 1)
         self.nv = num_vars
 
-    def _sift_up(self, i: int) -> None:
-        heap, pos, act = self.heap, self.heap_pos, self.activity
-        v = heap[i]
-        a = act[v]
-        while i:
-            parent = (i - 1) >> 1
-            p = heap[parent]
-            if a < act[p] or (a == act[p] and v > p):
-                break
-            heap[i] = p
-            pos[p] = i
-            i = parent
-        heap[i] = v
-        pos[v] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap, pos, act = self.heap, self.heap_pos, self.activity
-        n = len(heap)
-        v = heap[i]
-        a = act[v]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            c = heap[child]
-            if child + 1 < n:
-                d = heap[child + 1]
-                if act[d] > act[c] or (act[d] == act[c] and d < c):
-                    child, c = child + 1, d
-            if act[c] < a or (act[c] == a and c > v):
-                break
-            heap[i] = c
-            pos[c] = i
-            i = child
-        heap[i] = v
-        pos[v] = i
-
-    def _insert(self, v: int) -> None:
-        self.heap_pos[v] = len(self.heap)
-        self.heap.append(v)
-        self._sift_up(len(self.heap) - 1)
-
     def _decide(self) -> int:
-        """Pop the heap to its best free variable; 0 when every one is set."""
+        """Pop the order to its best free variable; 0 when every one is set."""
         if len(self.trail) == self.nv:
             return 0
-        heap, pos = self.heap, self.heap_pos
-        while heap:
-            v = heap[0]
-            last = heap.pop()
-            pos[v] = -1
-            if heap:
-                heap[0] = last
-                pos[last] = 0
-                self._sift_down(0)
-            if self.value[v] == 0:
-                return v
+        order, activity, queued, value = self.order, self.activity, self.queued, self.value
+        while order:
+            key = heappop(order)
+            v = key & 0xFFFFFFFF
+            if queued[v] and key >> 32 == -activity[v]:
+                queued[v] = False
+                if value[v] == 0:
+                    return v
         return 0
 
     def _val(self, lit: int) -> int:
         v = self.value[abs(lit)]
         return v if lit > 0 else -v
 
-    def _enqueue(self, lit: int, reason) -> bool:
-        cur = self._val(lit)
-        if cur == 1:
-            return True
-        if cur == -1:
-            return False
+    def _enqueue(self, lit: int, reason) -> None:
+        if self._val(lit) == 1:
+            return  # only an assumption can already be true
         v = abs(lit)
         self.value[v] = 1 if lit > 0 else -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.phase[v] = lit > 0
         self.trail.append(lit)
-        return True
+
+    def _attach(self, lits: list[int]) -> int:
+        """Store a clause of two or more literals, watching its first two."""
+        ci = len(self.clauses)
+        self.clauses.append(lits)
+        self.watches.setdefault(lits[0], []).append(ci)
+        self.watches.setdefault(lits[1], []).append(ci)
+        return ci
 
     def add_clause(self, lits) -> None:
         """Add a clause at decision level 0, that is, between calls.
@@ -275,10 +236,7 @@ class CdclSolver:
             if self._propagate() is not None:
                 self.ok = False
         else:
-            ci = len(self.clauses)
-            self.clauses.append(lits)
-            self.watches.setdefault(lits[0], []).append(ci)
-            self.watches.setdefault(lits[1], []).append(ci)
+            self._attach(lits)
 
     def _propagate(self):
         value, clauses, watches, trail = self.value, self.clauses, self.watches, self.trail
@@ -345,8 +303,8 @@ class CdclSolver:
                 if v not in seen and self.level[v] > 0:
                     seen.add(v)
                     self.activity[v] += 1
-                    if self.heap_pos[v] >= 0:
-                        self._sift_up(self.heap_pos[v])
+                    if self.queued[v]:  # a fresh key; the old one goes stale
+                        heappush(self.order, -self.activity[v] << 32 | v)
                     if self.level[v] >= cur:
                         counter += 1
                     else:
@@ -373,8 +331,9 @@ class CdclSolver:
             v = abs(self.trail.pop())
             self.value[v] = 0
             self.reason[v] = None
-            if self.heap_pos[v] < 0:
-                self._insert(v)
+            if not self.queued[v]:
+                self.queued[v] = True
+                heappush(self.order, -self.activity[v] << 32 | v)
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
 
@@ -413,19 +372,12 @@ class CdclSolver:
                     return "unknown", None
                 learnt, lvl = self._analyze(confl)
                 self._backtrack(lvl)
-                if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
-                else:
-                    ci = len(self.clauses)
-                    self.clauses.append(learnt)
-                    self.watches.setdefault(learnt[0], []).append(ci)
-                    self.watches.setdefault(learnt[1], []).append(ci)
-                    self._enqueue(learnt[0], ci)
+                self._enqueue(learnt[0], None if len(learnt) == 1 else self._attach(learnt))
                 self.stats.learned += 1
                 if self.stats.conflicts % 256 == 0:
-                    self.activity = [a >> 1 for a in self.activity]
-                    for i in reversed(range(len(self.heap) // 2)):
-                        self._sift_down(i)  # halving can tie, and ties go by index
+                    act = self.activity = [a >> 1 for a in self.activity]
+                    self.order = [-a << 32 | v for v, a in enumerate(act) if self.queued[v]]
+                    heapify(self.order)  # with every stale key dropped
             elif len(self.trail_lim) < len(assumptions):
                 lit = assumptions[len(self.trail_lim)]
                 if self._val(lit) == -1:

@@ -270,8 +270,7 @@ def extract_trace(miter_, model: dict):
     """`miter.extract_trace` with one simulation per output, in spec order,
     up to the first that differs."""
     aig = miter_.aig
-    for po in miter_.golden.primary_outputs:
-        ie, ge, _ = miter_.outputs[po]
+    for po, (ie, ge, _) in miter_.outputs.items():
         iv, gv = aig.evaluate(model, [ie, ge])
         if iv != gv:
             return TimedTrace.from_model(miter_.mcid, miter_.matching, model, po, (iv, gv))

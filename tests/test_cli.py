@@ -515,6 +515,7 @@ def test_main_restores_the_collector_state(work, capsys, collector_off, enabled,
         gc.enable()
     code, *argv = COMMANDS[name]
     assert main(work_argv(work, argv)) == code
+    capsys.readouterr()  # keep the reports out of the -rP summary
     assert gc.isenabled() is enabled
 
 

@@ -4,7 +4,9 @@ import hashlib
 import random
 from dataclasses import astuple
 
-from sfqlec.sat import Budget, CdclSolver, SolverStats
+from gen import kogge_stone_adder, ripple_adder, sfqify
+from sfqlec import build_mcid, build_miter, builtin_profile
+from sfqlec.sat import Budget, CdclSolver, SolverStats, Tseitin
 
 
 def random_3cnf(rng, num_vars, num_clauses):
@@ -199,6 +201,22 @@ def scan_decide(solver):
     return best
 
 
+def encode_and_solve(n_bits):
+    """A solver fed clause by clause through `Tseitin`, as `miter._Sweep`
+    grows its own: each output's XOR is encoded only when first asked
+    for, so its new variables arrive after earlier calls bumped and
+    halved the activities of the old ones."""
+    miter = build_miter(build_mcid(sfqify(kogge_stone_adder(n_bits)), builtin_profile("rsfq")), ripple_adder(n_bits))
+    solver = CdclSolver()
+    enc = Tseitin(miter.aig, solver.add_clause)
+    out = []
+    for _, _, xe in miter.outputs.values():
+        if xe >> 1:
+            lit = enc.lit(xe)
+            out += [solver.solve([lit]), solver.solve([-lit])]
+    return out, solver.nv, solver.stats
+
+
 def test_decision_heap_picks_what_a_scan_picks(monkeypatch):
     def work():
         out = []
@@ -213,10 +231,22 @@ def test_decision_heap_picks_what_a_scan_picks(monkeypatch):
                 out.append(solver.solve(random_assumptions(rng, nv)))
                 solver.add_clause(random_3cnf(rng, nv + 1, 1)[0])
             out.append(solver.stats)
+        out.append(encode_and_solve(16))
         return out
 
     by_heap = work()
     assert by_heap[1][2].conflicts > 256  # activities were halved on the way
+    assert by_heap[-1][2].conflicts > 256
+    # every pick, not just the totals: each is the scan's on the same state
+    decide = CdclSolver._decide
+
+    def checked(solver):
+        want = scan_decide(solver)
+        assert decide(solver) == want
+        return want
+
+    monkeypatch.setattr(CdclSolver, "_decide", checked)
+    assert work() == by_heap
     monkeypatch.setattr(CdclSolver, "_decide", scan_decide)
     assert work() == by_heap
 
