@@ -21,27 +21,20 @@ Counterexamples are built from, and evaluated on, the original graph.
 Counterexample models are canonicalized to the lexicographically smallest
 satisfying assignment (inputs ordered by name, then step, preferring 0), so
 witnesses do not depend on solver internals or on which pass found them.
-The greedy pass walks the cone inputs in that order.  A bit already 0 stays
-0; a set bit is first flipped to 0, and only when that loses the
-disagreement does one incremental solver per root answer whether some
-assignment extends the fixed prefix with a 0: the sweep's solver when its
-final solve found the witness, else a fresh one over the root's CNF.  The
-flips are tested a run at a time: one simulation of up to `_SIM_WIDTH`
-lanes, lane i with the next i + 1 set bits cleared, keeps every flip before
-the first lane that loses the root and hands that lane's bit to the solver.
-The fixed prefix goes in as level-0 unit clauses, once per solver call;
-only the bit under test (and the sweep's root literal) is assumed.
+When the all-zero assignment does not set the root, one solver call finds
+it: its decisions set the cone inputs to 0 in that order before any other
+variable (`CdclSolver.solve`'s `lex`), on the sweep's solver when its
+final solve found the witness, else on a fresh one over the root's CNF.
 
 One `Budget` of conflicts and seconds covers every sweep call, the final
-solve of every root and every canonicalization call.  When it runs out
-during canonicalization the current, valid but not minimal, witness is
-kept, and `VerdictStats.trace_canonical` says "budget" instead of "yes";
-cones too large to canonicalize (`_CANON_CAP`) say "capped".
+solve of every root and the canonicalization call.  When it runs out
+during canonicalization the witness is kept as found, valid but not
+minimal, and `VerdictStats.trace_canonical` says "budget" instead of
+"yes"; cones too large to canonicalize (`_CANON_CAP`) say "capped".
 """
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 
 from .aig import Aig, FALSE, TRUE
 from .checks import CheckReport, check_fanout, check_path_balance
@@ -142,62 +135,36 @@ def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:
 def _lex_min_model(
     aig: Aig, root: int, model: dict, stats: VerdictStats, budget: Budget, sat=None
 ) -> dict:
-    """Fix cone inputs to 0 in order wherever the root stays satisfiable.
-
-    Each simulation tests the next run of up to `_SIM_WIDTH` set bits: the
-    flips before the first one that loses the root are kept, and only that
-    one goes to the solver, so the calls are those of a bit-by-bit walk.
-    `sat` is (solver, label -> variable, assumptions asserting the root)
-    when the decision already has a solver; otherwise the root's own CNF
-    is built on first need.  Bits the greedy has passed never change
-    again, so before each call they go into the solver as level-0 units.
-    They agree with the current witness, which every solver clause (the
-    encoding and the sweep's proved merges) admits, so they cannot make
-    the solver unsat.
+    """The lexicographically smallest cone-input assignment that sets the
+    root: all zeros when that sets it, else one solver call that decides
+    the cone inputs in label order, each to 0 first (`CdclSolver.solve`'s
+    `lex`).  `sat` is (solver, label -> variable, assumptions asserting
+    the root) when the decision already has a solver; otherwise the root's
+    own CNF is built.  A call the budget stops keeps `model`, the witness
+    as found.
     """
     ins, ands = aig.cone([root])
     if len(ins) * max(1, len(ands)) > _CANON_CAP:
         stats.trace_canonical = "capped"
         return model
     labels = [aig.label(i) for i in ins]
-    cur = {lbl: model.get(lbl, 0) for lbl in labels}
-    fixed = 0  # labels[:fixed] are units in the solver
-    k = 0  # labels[:k] are settled
-    while True:
-        # lane i clears the window's first i + 1 set bits
-        window = list(islice((j for j in range(k, len(labels)) if cur[labels[j]]), _SIM_WIDTH))
-        if not window:
-            break
-        mask = (1 << len(window)) - 1
-        words = {lbl: mask if v else 0 for lbl, v in cur.items()}
-        for i, j in enumerate(window):
-            words[labels[j]] = (1 << i) - 1
-        drop = ~aig.evaluate(words, [root], mask)[0] & mask
-        i = (drop & -drop).bit_length() - 1 if drop else len(window)
-        for j in window[:i]:
-            cur[labels[j]] = 0
-        if not drop:
-            k = window[-1] + 1
-            continue
-        k = window[i]
-        lbl = labels[k]
-        if sat is None:
-            cnf = cnf_from_aig(aig, root)
-            sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars, []
-        solver, var_of, base = sat
-        for l in labels[fixed:k]:
-            solver.add_clause([var_of[l] if cur[l] else -var_of[l]])
-        fixed = k
-        status, m = solver.solve(base + [-var_of[lbl]], budget)
-        stats.canon_sat_calls += 1
-        if status == "unknown":
-            stats.trace_canonical = "budget"
-            return cur
-        if status == "sat":
-            cur = {l: int(m[var_of[l]]) for l in labels}
-        k += 1
+    zeros = dict.fromkeys(labels, 0)
+    if aig.evaluate(zeros, [root])[0]:
+        stats.trace_canonical = "yes"
+        return zeros
+    if sat is None:
+        cnf = cnf_from_aig(aig, root)
+        sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars, []
+    solver, var_of, base = sat
+    status, m = solver.solve(base, budget, lex=[var_of[lbl] for lbl in labels])
+    stats.canon_sat_calls += 1
+    if status == "unknown":
+        stats.trace_canonical = "budget"
+        return model
+    if status == "unsat":
+        raise MiterError("the witness's root is unsatisfiable")
     stats.trace_canonical = "yes"
-    return cur
+    return {lbl: int(m[var_of[lbl]]) for lbl in labels}
 
 
 def _patterns(labels: list, seed) -> dict:

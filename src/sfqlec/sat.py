@@ -18,6 +18,8 @@ first clause or assumption that names it, so a caller can encode a
 formula piece by piece as its calls need it.  A `Budget` bounds the
 conflicts and wall-clock time of a whole sequence of calls, across
 solvers, and `solve(..., max_conflicts=k)` caps one call inside it.
+`solve(..., lex=order)` decides the variables of `order` first, each to
+False, so its model is the lexicographically smallest over them.
 
 Decisions come from a `heapq` list of int keys `-activity << 32 | var`,
 so the smallest key is the highest activity, then the lowest index.
@@ -134,7 +136,8 @@ class CdclSolver:
 
     1-UIP learning, additive activity bumps with periodic halving, phase
     saving, decisions from a lazy `heapq` order keyed `-activity << 32 |
-    var`.  `stats` accumulates over all calls.
+    var` once a call's `lex` variables are set.  `stats` accumulates over
+    all calls.
     """
 
     def __init__(self, num_vars: int = 0, clauses=()):
@@ -337,13 +340,22 @@ class CdclSolver:
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
 
-    def solve(self, assumptions=(), budget: Budget | None = None, max_conflicts: int | None = None):
+    def solve(
+        self, assumptions=(), budget: Budget | None = None, max_conflicts: int | None = None, lex=()
+    ):
         """Returns ("sat", model) / ("unsat", None) / ("unknown", None).
 
         "unsat" under assumptions means no model extends them; the solver
         stays usable.  A call given an exhausted `budget` returns "unknown"
         at once; without one, the search is unlimited.  `max_conflicts`
         caps this call alone, inside `budget`.
+
+        While a variable of `lex` is free, the next decision sets the first
+        free one False; the activity order decides only after.  The model
+        is then the lexicographically smallest over `lex` (False first)
+        that extends the assumptions: a `lex` variable set True was implied
+        at a level whose decisions all set earlier `lex` variables False,
+        so every model that agrees with it on the earlier ones sets it True.
         """
         if not self.ok:
             return "unsat", None
@@ -351,15 +363,16 @@ class CdclSolver:
             budget = Budget()
         elif budget.exhausted():
             return "unknown", None
-        assumptions = list(assumptions)
-        self._grow(max(map(abs, assumptions), default=0))
+        assumptions, lex = list(assumptions), list(lex)
+        self._grow(max(map(abs, assumptions + lex), default=0))
         limit = None if max_conflicts is None else self.stats.conflicts + max_conflicts
-        result = self._search(assumptions, budget, limit)
+        result = self._search(assumptions, budget, limit, lex)
         if self.trail_lim:
             self._backtrack(0)
         return result
 
-    def _search(self, assumptions: list[int], budget: Budget, limit: int | None):
+    def _search(self, assumptions: list[int], budget: Budget, limit: int | None, lex: list[int]):
+        li = 0  # lex[:li] are set
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -372,6 +385,7 @@ class CdclSolver:
                     return "unknown", None
                 learnt, lvl = self._analyze(confl)
                 self._backtrack(lvl)
+                li = 0
                 self._enqueue(learnt[0], None if len(learnt) == 1 else self._attach(learnt))
                 self.stats.learned += 1
                 if self.stats.conflicts % 256 == 0:
@@ -385,10 +399,16 @@ class CdclSolver:
                 self.trail_lim.append(len(self.trail))  # a level even when already true
                 self._enqueue(lit, None)
             else:
-                v = self._decide()
-                if v == 0:
-                    model = {u: self.value[u] == 1 for u in range(1, self.nv + 1)}
-                    return "sat", model
+                while li < len(lex) and self.value[lex[li]]:
+                    li += 1
+                if li < len(lex):
+                    lit = -lex[li]
+                else:
+                    v = self._decide()
+                    if v == 0:
+                        model = {u: self.value[u] == 1 for u in range(1, self.nv + 1)}
+                        return "sat", model
+                    lit = v if self.phase[v] else -v
                 self.stats.decisions += 1
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(v if self.phase[v] else -v, None)
+                self._enqueue(lit, None)

@@ -10,11 +10,12 @@ error messages.
 round by round, before one draw served every round; tests/test_miter.py
 requires the same witness from the one wide simulation.
 
-`lex_min_model` is trace canonicalization as it assumed the whole fixed
-prefix on every solver call, before the prefix became level-0 units;
-tests/test_canonical.py requires the same traces and verdict statistics,
-and the same models from the greedy that tests a window of bits per
-simulation.  `extract_trace` is the trace builder as it simulated the
+`lex_min_model` is trace canonicalization as a per-bit greedy: each set
+input bit is flipped to 0 in turn, and the solver is asked, with the
+whole fixed prefix assumed, only when a flip loses the root.
+tests/test_canonical.py requires the same traces, models and verdict
+statistics (but the solver calls) from the one lex-ordered solver call
+that replaced it.  `extract_trace` is the trace builder as it simulated the
 graph once per output until one differed; tests/test_canonical.py
 requires the same trace from one simulation of every output.
 """

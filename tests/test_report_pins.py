@@ -32,7 +32,7 @@ cnf-clauses 0
 decisions 0
 conflicts 0
 propagations 0
-canon-sat-calls 3
+canon-sat-calls 1
 trace-canonical yes
 CYCLE 0: a=0 b=1 c=1 d=0
 CYCLE 1: a=0 b=0 c=0 d=1
@@ -97,8 +97,10 @@ out@t0 = AND2(mD@t-1, orm@t-1)
 """
 
 # sha256 of stdout + trace file for a swap-gate fault in sfqify(ks16)
-# checked against ripple16 (the case tests/test_bench_spans.py traces)
-KS16_SWAP_SHA256 = "53515be71d1851b7e77676ddf4ae4f41222bfcbf9a35d6d154c2807cf5391835"
+# checked against ripple16 (the case tests/test_bench_spans.py traces).
+# Regenerated on purpose when canonicalization became one lex-ordered
+# solver call: `canon-sat-calls` went 17 -> 1; the trace did not change.
+KS16_SWAP_SHA256 = "41e52921c068b1a173a45bed8615169d0f4dca5ed1b2dc88488210f508b76ca7"
 
 
 # sha256 of stdout for four commands on sfqify(ks16): the model dump (its
@@ -177,9 +179,11 @@ def test_real_size_front_end_outputs_are_pinned(tmp_path, capsys):
 
 # sha256 of `verify` stdout + `--cnf` file for sfqify(ks16) against ripple16
 # (decided by the sweep) and for its `remove-dff --seed 0` fault (decided by
-# the final solve, with a canonical trace)
+# the final solve, with a canonical trace).  The fault's pin was regenerated
+# when canonicalization became one solver call: `canon-sat-calls` 17 -> 1,
+# the same CNF and trace.
 KS16_SWEEP_CNF_SHA256 = "6d72604b746ef396d4bf26b52a1e7828a1ca1103a32c8cc8abb1e306e611e6ba"
-KS16_NODFF_CNF_SHA256 = "e9c1fb53c321813fcd203b0303ae8c9f63678ab6cd4cced8e8903581caeef30a"
+KS16_NODFF_CNF_SHA256 = "18bc51c6026a094165f366e7fec21abcbabf0eb3925d0a06af4905893cf86208"
 
 
 def test_swept_adder_reports_and_cnf_are_pinned(tmp_path, capsys):
@@ -202,7 +206,9 @@ def test_swept_adder_reports_and_cnf_are_pinned(tmp_path, capsys):
 # other outputs.  Regenerated on purpose when every live output began to
 # share one pattern draw: s3's simulation witness changed, and with it
 # `canon-sat-calls` (1 before, 2 now); the verdicts and the trace did not.
-KS16_SWAP2_PER_OUTPUT_SHA256 = "3003e4a38188fa04cd813aabb59c1d105c53d1670bac5178c1dec72e873581a3"
+# Regenerated again when canonicalization became one solver call
+# (`canon-sat-calls` 2 -> 1).
+KS16_SWAP2_PER_OUTPUT_SHA256 = "8b90209a4c2418194b7a6e1e8cd5b8d460f7b624914c17ee7b78a5310220fd32"
 
 
 def test_mixed_per_output_report_is_pinned(tmp_path, capsys):

@@ -191,6 +191,70 @@ def test_per_call_conflict_cap_leaves_the_budget_shared():
     assert budget.conflicts == 25
 
 
+_TABLES: dict = {}
+
+
+def brute_lex_min(nv, clauses, order):
+    """The lexicographically smallest model over `order` (False first), by
+    truth tables over all 2**nv assignments: bit a of `table[v]` is set
+    when assignment a sets v.  None when no assignment satisfies."""
+    if nv not in _TABLES:
+        full = range(1 << nv)
+        _TABLES[nv] = {v: sum(1 << a for a in full if a >> (v - 1) & 1) for v in range(1, nv + 1)}
+    table, every = _TABLES[nv], (1 << (1 << nv)) - 1
+    models = every
+    for c in clauses:
+        holds = 0
+        for l in c:
+            holds |= table[l] if l > 0 else every ^ table[-l]
+        models &= holds
+    if not models:
+        return None
+    for v in order:
+        models = models & (every ^ table[v]) or models & table[v]
+    return {v: bool(models & table[v]) for v in order}
+
+
+def test_lex_calls_return_the_brute_force_lex_min():
+    """`solve(assumptions, lex=order)` returns the smallest model over
+    `order` on a fresh solver and on one that has answered calls before
+    (learned clauses, level-0 units, saved phases); under
+    `max_conflicts=1` it gives up wherever the fresh call met a conflict."""
+    searched = 0
+    for seed in range(150):
+        rng = random.Random(11000 + seed)
+        nv = rng.randint(3, 14)
+        clauses = random_3cnf(rng, nv, rng.randint(nv, 5 * nv))
+        used = CdclSolver(nv, clauses)
+        for step in range(5):
+            used.solve(random_assumptions(rng, nv))
+            if rng.random() < 0.3:
+                unit = (rng.choice([1, -1]) * rng.randint(1, nv),)
+                used.add_clause(unit)
+                clauses.append(unit)
+            assumptions = random_assumptions(rng, nv)
+            order = rng.sample(range(1, nv + 1), rng.randint(1, nv))
+            units = [(a,) for a in assumptions]
+            want = brute_lex_min(nv, clauses + units, order)
+            fresh = CdclSolver(nv, clauses)
+            for solver in (fresh, used):
+                status, model = solver.solve(assumptions, lex=order)
+                if want is None:
+                    assert status == "unsat", (seed, step)
+                else:
+                    assert status == "sat", (seed, step)
+                    assert {v: model[v] for v in order} == want, (seed, step)
+                    assert satisfies(model, clauses + units), (seed, step)
+                assert not solver.trail_lim
+            capped = CdclSolver(nv, clauses).solve(assumptions, max_conflicts=1, lex=order)
+            if want is not None and fresh.stats.conflicts:
+                searched += 1
+                assert capped == ("unknown", None), (seed, step)
+            elif not fresh.stats.conflicts:
+                assert capped == CdclSolver(nv, clauses).solve(assumptions, lex=order), (seed, step)
+    assert searched > 20
+
+
 def scan_decide(solver):
     """The free variable of highest activity, lowest index first: what the
     decision heap must pick."""
