@@ -12,7 +12,7 @@ What simulation leaves open is SAT-swept (Mishchenko, Chatterjee, Jiang,
 Brayton, "FRAIGs", 2005; Mishchenko et al., "Improvements to Combinational
 Equivalence Checking", ICCAD 2006) on one incremental solver; see `_Sweep`.
 In node order, each node of the open roots' cones is rebuilt in a fresh
-strashed graph and proved equal to the first node of its signature class
+strashed graph and proved equal to the first node of its simulation class
 under assumptions; only a solver "unsat" merges a pair.  A root whose
 rebuilt edge is constant FALSE is equivalent (method "sweep"); any other
 is decided by one final solve of its rebuilt edge (method "sat").
@@ -29,8 +29,8 @@ final solve found the witness, else on a fresh one over the root's CNF.
 One `Budget` of conflicts and seconds covers every sweep call, the final
 solve of every root and the canonicalization call.  When it runs out
 during canonicalization the witness is kept as found, valid but not
-minimal, and `VerdictStats.trace_canonical` says "budget" instead of
-"yes"; cones too large to canonicalize (`_CANON_CAP`) say "capped".
+minimal, and `VerdictStats.trace_canonical` says "budget", not "yes";
+a cone over `_CANON_CAP` says "capped" unless all zeros set its root.
 """
 
 import random
@@ -136,22 +136,22 @@ def _lex_min_model(
     aig: Aig, root: int, model: dict, stats: VerdictStats, budget: Budget, sat=None
 ) -> dict:
     """The lexicographically smallest cone-input assignment that sets the
-    root: all zeros when that sets it, else one solver call that decides
-    the cone inputs in label order, each to 0 first (`CdclSolver.solve`'s
-    `lex`).  `sat` is (solver, label -> variable, assumptions asserting
-    the root) when the decision already has a solver; otherwise the root's
-    own CNF is built.  A call the budget stops keeps `model`, the witness
-    as found.
+    root: all zeros when that sets it, else, for a cone within `_CANON_CAP`,
+    one solver call that decides the cone inputs in label order, each to 0
+    first (`CdclSolver.solve`'s `lex`).  `sat` is (solver, label ->
+    variable, assumptions asserting the root) when the decision already
+    has a solver; otherwise the root's own CNF is built.  A call the budget
+    stops, or a cone over the cap, keeps `model`, the witness as found.
     """
     ins, ands = aig.cone([root])
-    if len(ins) * max(1, len(ands)) > _CANON_CAP:
-        stats.trace_canonical = "capped"
-        return model
     labels = [aig.label(i) for i in ins]
     zeros = dict.fromkeys(labels, 0)
     if aig.evaluate(zeros, [root])[0]:
         stats.trace_canonical = "yes"
         return zeros
+    if len(ins) * max(1, len(ands)) > _CANON_CAP:
+        stats.trace_canonical = "capped"
+        return model
     if sat is None:
         cnf = cnf_from_aig(aig, root)
         sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars, []
@@ -197,18 +197,18 @@ def _settle(root: int, hit: int, words: dict, stats: VerdictStats):
 class _Sweep:
     """SAT sweeping of the cones of some miter roots on one solver.
 
-    Every node gets a signature: its value under `words`, the patterns
-    simulation drew (`_patterns`), so a sweep starts from what it saw.
-    Nodes whose signatures agree up to complement form a class, headed by
-    its lowest node.  In node order each node is rebuilt, through
-    `Aig.and_`, in a fresh graph (the fraig) from its fanins' fraig edges,
-    and proved equal to its class head's edge by two solver calls under
-    assumptions, each capped at `_PAIR_CONFLICTS` conflicts inside the
-    decide-phase budget.  A proved pair is merged: its two clauses go in at
-    level 0 and the node takes the head's edge, so structural hashing
-    merges what is built on it.  A call that gives up leaves the node
-    unmerged.  A refuting model and each of its distance-1 neighbours
-    become new signature bits, which split the class.  Fraig nodes are
+    Nodes whose values under `words`, the patterns simulation drew
+    (`_patterns`), agree up to complement share a class id; a node's phase
+    (its first bit) says which side it is on.  Each class is headed by its
+    lowest node.  In node order each node is rebuilt, through `Aig.and_`,
+    in a fresh graph (the fraig) from its fanins' fraig edges, and proved
+    equal to its head's edge, complemented when their phases differ, by
+    two solver calls under assumptions, each capped at `_PAIR_CONFLICTS`
+    conflicts inside the decide-phase budget.  A proved pair is merged: its
+    two clauses go in at level 0 and the node takes the head's edge, so
+    structural hashing merges what is built on it.  A call that gives up
+    leaves the node unmerged.  A refuting model and its distance-1
+    neighbours split the classes by id (`_refine`).  Fraig nodes are
     Tseitin-encoded into the solver when first needed.
     """
 
@@ -223,20 +223,19 @@ class _Sweep:
 
         self.enc = Tseitin(self.fraig, emit)
         self.labels = list(words)
-        self.width = _SIM_ROUNDS * _SIM_WIDTH + _SWEEP_BITS
-        self.sig = aig.simulate(words, (1 << self.width) - 1)
+        mask = (1 << _SIM_ROUNDS * _SIM_WIDTH + _SWEEP_BITS) - 1
+        sig = aig.simulate(words, mask)
+        self.phase = [s & 1 for s in sig]
+        ids: dict = {}
+        self.ids = [ids.setdefault(s ^ mask if s & 1 else s, len(ids)) for s in sig]
         self.edge = {0: TRUE}  # original node -> fraig edge
         stats.sweep_proved = stats.sweep_refuted = 0
         ins, ands = aig.cone(roots)
         self._run(sorted(ins + ands))
 
-    def _key(self, n: int) -> int:
-        s = self.sig[n]
-        return s ^ ((1 << self.width) - 1) if s & 1 else s
-
     def _run(self, order: list[int]) -> None:
-        aig, fraig, edge = self.aig, self.fraig, self.edge
-        heads = {0: 0}  # signature key -> first node of its class
+        aig, fraig, edge, phase = self.aig, self.fraig, self.edge, self.phase
+        heads = {self.ids[0]: 0}  # class id -> first node of its class
         for n in order:
             node = aig.nodes[n]
             if node[0] == "in":
@@ -245,11 +244,10 @@ class _Sweep:
                 a, b = node[1], node[2]
                 e = fraig.and_(edge[a >> 1] ^ (a & 1), edge[b >> 1] ^ (b & 1))
             while True:
-                key = self._key(n)
-                r = heads.setdefault(key, n)
+                r = heads.setdefault(self.ids[n], n)
                 if r == n:
                     break
-                want = edge[r] ^ ((self.sig[n] ^ self.sig[r]) & 1)
+                want = edge[r] ^ phase[n] ^ phase[r]
                 if e == want:
                     break
                 status = self._prove(e, want)
@@ -257,7 +255,7 @@ class _Sweep:
                     e = want
                 if status != "sat":
                     break
-                heads = {self._key(h): h for h in heads.values()}
+                heads = {self.ids[h]: h for h in heads.values()}
             edge[n] = e
 
     def _prove(self, e: int, want: int) -> str:
@@ -285,16 +283,20 @@ class _Sweep:
         return "unsat"
 
     def _refine(self, model: dict) -> None:
-        """Append a refuting model (bit 0) and its distance-1 neighbours
-        (bit j flips the j-th input) as new signature bits."""
-        k = len(self.labels) + 1
+        """Split the classes by a refuting model (bit 0) and its distance-1
+        neighbours (bit j flips the j-th input): each node's next id interns
+        its id and its word under them, complemented when its phase is 1."""
+        mask = (1 << len(self.labels) + 1) - 1
         words = {}
         for j, lbl in enumerate(self.labels, 1):
             v = self.enc.input_var.get(lbl)
-            words[lbl] = ((1 << k) - 1 if v and model[v] else 0) ^ (1 << j)
-        new = self.aig.simulate(words, (1 << k) - 1)
-        self.sig = [s | (w << self.width) for s, w in zip(self.sig, new)]
-        self.width += k
+            words[lbl] = (mask if v and model[v] else 0) ^ (1 << j)
+        new = self.aig.simulate(words, mask)
+        ids: dict = {}
+        self.ids = [
+            ids.setdefault((i, w ^ mask if p else w), len(ids))
+            for i, w, p in zip(self.ids, new, self.phase)
+        ]
 
     def decide(self, root: int):
         """(equivalent or None, distinguishing model or None, the solver

@@ -267,12 +267,14 @@ class CdclSolver:
                     ws[j] = ci
                     j += 1
                     continue
-                for k in range(2, len(c)):
+                k, m = 2, len(c)
+                while k < m:  # a new watch among the rest, if any
                     q = c[k]
                     if (value[q] if q > 0 else -value[-q]) != -1:
                         c[1], c[k] = q, c[1]
                         watches.setdefault(q, []).append(ci)
                         break
+                    k += 1
                 else:
                     ws[j] = ci
                     j += 1
@@ -281,11 +283,12 @@ class CdclSolver:
                         self.qhead = qhead
                         self.stats.propagations += qhead - start
                         return ci
-                    v = first if first > 0 else -first
-                    value[v] = 1 if first > 0 else -1
+                    if first > 0:
+                        v, value[first], phase[first] = first, 1, True
+                    else:
+                        v, value[-first], phase[-first] = -first, -1, False
                     level[v] = lvl
                     reason[v] = ci
-                    phase[v] = first > 0
                     trail.append(first)
             del ws[j:]
         self.qhead = qhead
@@ -330,15 +333,17 @@ class CdclSolver:
         return learnt, self.level[abs(learnt[1])]
 
     def _backtrack(self, lvl: int) -> None:
-        while len(self.trail) > self.trail_lim[lvl]:
-            v = abs(self.trail.pop())
-            self.value[v] = 0
-            self.reason[v] = None
-            if not self.queued[v]:
-                self.queued[v] = True
+        trail, value, queued = self.trail, self.value, self.queued
+        lim = self.trail_lim[lvl]
+        for lit in trail[lim:]:  # `reason` is read only for set variables
+            v = lit if lit > 0 else -lit
+            value[v] = 0
+            if not queued[v]:
+                queued[v] = True
                 heappush(self.order, -self.activity[v] << 32 | v)
+        del trail[lim:]
         del self.trail_lim[lvl:]
-        self.qhead = len(self.trail)
+        self.qhead = lim
 
     def solve(
         self, assumptions=(), budget: Budget | None = None, max_conflicts: int | None = None, lex=()

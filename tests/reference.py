@@ -239,10 +239,11 @@ def lex_min_model(aig, root: int, model: dict, stats, budget, sat=None) -> dict:
     """`miter._lex_min_model` with the fixed prefix assumed, one decision
     level per literal, on every call."""
     ins, ands = aig.cone([root])
-    if len(ins) * max(1, len(ands)) > miter._CANON_CAP:
+    labels = [aig.label(i) for i in ins]
+    zeros_set_it = aig.evaluate(dict.fromkeys(labels, 0), [root])[0]
+    if not zeros_set_it and len(ins) * max(1, len(ands)) > miter._CANON_CAP:
         stats.trace_canonical = "capped"
         return model
-    labels = [aig.label(i) for i in ins]
     cur = {lbl: model.get(lbl, 0) for lbl in labels}
     for k, lbl in enumerate(labels):
         if not cur[lbl]:

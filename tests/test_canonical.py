@@ -275,6 +275,21 @@ def test_oversized_cone_is_reported_as_capped(faulted_ks16, monkeypatch):
     assert replay_trace(impl, golden, verdict.trace, RSFQ)
 
 
+def test_an_all_zero_witness_is_canonical_over_the_cap(monkeypatch):
+    """The cap bounds the solver's search; the all-zero assignment needs
+    none, so a cone over the cap whose lex-min is all zeros still gets it."""
+    impl, _ = inject(sfqify(kogge_stone_adder(16)), "swap-gate", seed=4)
+    golden = ripple_adder(16)
+    monkeypatch.setattr(miter_module, "_CANON_CAP", 0)
+    verdict = verify(impl, golden).verdict
+    assert verdict.equivalent is False
+    assert verdict.stats.trace_canonical == "yes"
+    assert verdict.stats.canon_sat_calls == 0
+    assert not any(verdict.trace.timed_assignment.values())
+    assert not any(verdict.trace.golden_assignment.values())
+    assert replay_trace(impl, golden, verdict.trace, RSFQ)
+
+
 def verify_lines(tmp_path, capsys, impl_text, golden_text, *flags):
     (tmp_path / "impl.bench").write_text(impl_text)
     (tmp_path / "golden.bench").write_text(golden_text)

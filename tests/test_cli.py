@@ -541,3 +541,13 @@ def test_importing_the_cli_builds_no_parser():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == "0 True\n"
+
+
+def test_the_package_runs_as_a_module_from_a_checkout():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "sfqlec", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout

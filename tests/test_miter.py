@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -203,6 +204,29 @@ def test_sweep_decides_ks64_against_ripple64():
     assert verdict.equivalent is True
     assert verdict.stats.method == "sweep"
     assert verdict.stats.sweep_proved > 0
+
+
+def test_sweep_partition_is_pinned():
+    """Every query, merge and split of the sweep follows its classes, so
+    its counters pin the partition at a size where refuting models add
+    thousands of patterns to the first 1,024."""
+    impl, _ = inject(sfqify(kogge_stone_adder(64)), "swap-gate", seed=1)
+    s = verify(impl, ripple_adder(64)).verdict.stats
+    assert (s.method, s.conflicts, s.decisions, s.propagations) == ("sweep", 851, 10314, 240988)
+    assert (s.sweep_proved, s.sweep_refuted, s.cnf_vars, s.cnf_clauses) == (64, 103, 1539, 4357)
+
+
+def test_sweep_memory_does_not_grow_with_its_refutations():
+    """A node's class is one small id however many models refuted it."""
+    miter = build_miter(build_mcid(sfqify(kogge_stone_adder(48)), RSFQ), ripple_adder(48))
+    tracemalloc.start()
+    try:
+        verdict = check_equivalence(miter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.equivalent is True and verdict.stats.method == "sweep"
+    assert peak < 3_000_000
 
 
 def test_sweep_decides_the_parity_pair():
