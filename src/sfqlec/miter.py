@@ -199,17 +199,17 @@ class _Sweep:
 
     Nodes whose values under `words`, the patterns simulation drew
     (`_patterns`), agree up to complement share a class id; a node's phase
-    (its first bit) says which side it is on.  Each class is headed by its
-    lowest node.  In node order each node is rebuilt, through `Aig.and_`,
-    in a fresh graph (the fraig) from its fanins' fraig edges, and proved
-    equal to its head's edge, complemented when their phases differ, by
-    two solver calls under assumptions, each capped at `_PAIR_CONFLICTS`
-    conflicts inside the decide-phase budget.  A proved pair is merged: its
-    two clauses go in at level 0 and the node takes the head's edge, so
-    structural hashing merges what is built on it.  A call that gives up
-    leaves the node unmerged.  A refuting model and its distance-1
-    neighbours split the classes by id (`_refine`).  Fraig nodes are
-    Tseitin-encoded into the solver when first needed.
+    (bit 0 of its value) says which side it is on.  Each class is headed
+    by its lowest node.  In node order each node is rebuilt, through
+    `Aig.and_`, in a fresh graph (the fraig) from its fanins' fraig edges,
+    and proved equal to its head's edge, complemented when their phases
+    differ, by two solver calls under assumptions, each capped at
+    `_PAIR_CONFLICTS` conflicts inside the decide-phase budget.  A proved
+    pair is merged: its two clauses go in at level 0 and the node takes
+    the head's edge, so structural hashing merges what is built on it.  A
+    call that gives up leaves the node unmerged.  A refuting model and its
+    distance-1 neighbours split the classes by id (`_refine`).  Fraig
+    nodes are Tseitin-encoded into the solver when first needed.
     """
 
     def __init__(self, aig: Aig, roots: list[int], words: dict, stats: VerdictStats, budget: Budget):
