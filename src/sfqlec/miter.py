@@ -231,6 +231,7 @@ class _Sweep:
         self.edge = {0: TRUE}  # original node -> fraig edge
         stats.sweep_proved = stats.sweep_refuted = 0
         ins, ands = aig.cone(roots)
+        del sig, ids  # every node's full word: free them before the sweep runs
         self._run(sorted(ins + ands))
 
     def _run(self, order: list[int]) -> None:

@@ -19,7 +19,16 @@ formula piece by piece as its calls need it.  A `Budget` bounds the
 conflicts and wall-clock time of a whole sequence of calls, across
 solvers, and `solve(..., max_conflicts=k)` caps one call inside it.
 `solve(..., lex=order)` decides the variables of `order` first, each to
-False, so its model is the lexicographically smallest over them.
+False, so its model is the lexicographically smallest over them.  Such a
+call backtracks chronologically (Nadel & Ryvchin, "Chronological
+Backtracking", SAT 2018): a conflict is analysed at the highest level in
+its clause and undoes only that level, so the `order` decisions it does
+not involve stay set instead of being made again.  Each literal carries
+its true level, the highest among the other literals of its reason (for a
+learned literal, its asserting level), so the trail is no longer in level
+order, and a backtrack to level k keeps, and propagates again, the
+literals of level k or below that sit above it.  Calls without `lex`
+backjump to the asserting level, and their trail stays in level order.
 
 Decisions come from a `heapq` list of int keys `-activity << 32 | var`,
 so the smallest key is the highest activity, then the lowest index.
@@ -136,8 +145,9 @@ class CdclSolver:
 
     1-UIP learning, additive activity bumps with periodic halving, phase
     saving, decisions from a lazy `heapq` order keyed `-activity << 32 |
-    var` once a call's `lex` variables are set.  `stats` accumulates over
-    all calls.
+    var` once a call's `lex` variables are set, and backjumping, or
+    chronological backtracking in a call with `lex`.  `stats` accumulates
+    over all calls.
     """
 
     def __init__(self, num_vars: int = 0, clauses=()):
@@ -192,12 +202,12 @@ class CdclSolver:
         v = self.value[abs(lit)]
         return v if lit > 0 else -v
 
-    def _enqueue(self, lit: int, reason) -> None:
+    def _enqueue(self, lit: int, reason, lvl: int | None = None) -> None:
         if self._val(lit) == 1:
             return  # only an assumption can already be true
         v = abs(lit)
         self.value[v] = 1 if lit > 0 else -1
-        self.level[v] = len(self.trail_lim)
+        self.level[v] = len(self.trail_lim) if lvl is None else lvl
         self.reason[v] = reason
         self.phase[v] = lit > 0
         self.trail.append(lit)
@@ -241,7 +251,10 @@ class CdclSolver:
         else:
             self._attach(lits)
 
-    def _propagate(self):
+    def _propagate(self, chrono: bool = False):
+        """Propagate the queued trail literals; the index of a clause found
+        false, else None.  With `chrono` an implied literal takes its true
+        level, the highest among the other literals of its reason."""
         value, clauses, watches, trail = self.value, self.clauses, self.watches, self.trail
         level, reason, phase = self.level, self.reason, self.phase
         lvl = len(self.trail_lim)
@@ -288,6 +301,8 @@ class CdclSolver:
                     else:
                         v, value[-first], phase[-first] = -first, -1, False
                     level[v] = lvl
+                    if chrono and level[lit if lit > 0 else neg] < lvl:
+                        level[v] = max(level[abs(q)] for q in c[1:])
                     reason[v] = ci
                     trail.append(first)
             del ws[j:]
@@ -295,29 +310,35 @@ class CdclSolver:
         self.stats.propagations += qhead - start
         return None
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
-        cur = len(self.trail_lim)
+    def _analyze(self, confl: int, cur: int) -> tuple[list[int], int]:
+        """1-UIP learning at level `cur`, the highest in the conflict
+        clause, which in a lex call may be below the current level: the
+        learned clause, UIP first, and its asserting level."""
+        trail, level = self.trail, self.level
+        activity, queued, order = self.activity, self.queued, self.order
         learnt: list[int] = []
         seen = set()
         counter = 0
         p = None
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         while True:
             c = self.clauses[confl]
             for q in (c if p is None else c[1:]):
                 v = abs(q)
-                if v not in seen and self.level[v] > 0:
+                if v not in seen and level[v] > 0:
                     seen.add(v)
-                    self.activity[v] += 1
-                    if self.queued[v]:  # a fresh key; the old one goes stale
-                        heappush(self.order, -self.activity[v] << 32 | v)
-                    if self.level[v] >= cur:
+                    activity[v] += 1
+                    if queued[v]:  # a fresh key; the old one goes stale
+                        heappush(order, -activity[v] << 32 | v)
+                    if level[v] >= cur:
                         counter += 1
                     else:
                         learnt.append(q)
-            while abs(self.trail[idx]) not in seen:
+            # the next literal of level `cur` to resolve; in a lex call the
+            # trail holds other levels' literals after and among them
+            while abs(trail[idx]) not in seen or level[abs(trail[idx])] < cur:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
             seen.discard(abs(p))
             counter -= 1
@@ -328,20 +349,27 @@ class CdclSolver:
         if len(learnt) == 1:
             return learnt, 0
         # second-highest decision level, with that literal watched
-        k = max(range(1, len(learnt)), key=lambda n: self.level[abs(learnt[n])])
+        k = max(range(1, len(learnt)), key=lambda n: level[abs(learnt[n])])
         learnt[1], learnt[k] = learnt[k], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[abs(learnt[1])]
 
-    def _backtrack(self, lvl: int) -> None:
-        trail, value, queued = self.trail, self.value, self.queued
+    def _backtrack(self, lvl: int, chrono: bool = False) -> None:
+        """Undo the levels above `lvl`.  With `chrono` a literal of level
+        `lvl` or below that sits above them stays set, and is queued to be
+        propagated again."""
+        trail, value, level, queued = self.trail, self.value, self.level, self.queued
         lim = self.trail_lim[lvl]
+        kept = []
         for lit in trail[lim:]:  # `reason` is read only for set variables
             v = lit if lit > 0 else -lit
+            if chrono and level[v] <= lvl:
+                kept.append(lit)
+                continue
             value[v] = 0
             if not queued[v]:
                 queued[v] = True
                 heappush(self.order, -self.activity[v] << 32 | v)
-        del trail[lim:]
+        trail[lim:] = kept
         del self.trail_lim[lvl:]
         self.qhead = lim
 
@@ -358,9 +386,12 @@ class CdclSolver:
         While a variable of `lex` is free, the next decision sets the first
         free one False; the activity order decides only after.  The model
         is then the lexicographically smallest over `lex` (False first)
-        that extends the assumptions: a `lex` variable set True was implied
-        at a level whose decisions all set earlier `lex` variables False,
-        so every model that agrees with it on the earlier ones sets it True.
+        that extends the assumptions: a `lex` variable set True is implied
+        by the assumptions and the decisions at or below its level (its
+        true level, under chronological backtracking too).  Each of those
+        decisions was made while the variable was free, so it set an
+        earlier `lex` variable False; every model that agrees with this one
+        on the earlier variables therefore sets it True.
         """
         if not self.ok:
             return "unsat", None
@@ -373,25 +404,31 @@ class CdclSolver:
         limit = None if max_conflicts is None else self.stats.conflicts + max_conflicts
         result = self._search(assumptions, budget, limit, lex)
         if self.trail_lim:
-            self._backtrack(0)
+            self._backtrack(0, bool(lex))
         return result
 
     def _search(self, assumptions: list[int], budget: Budget, limit: int | None, lex: list[int]):
         li = 0  # lex[:li] are set
+        chrono = bool(lex)
         while True:
-            confl = self._propagate()
+            confl = self._propagate(chrono)
             if confl is not None:
                 self.stats.conflicts += 1
                 budget.conflicts += 1
-                if not self.trail_lim:
+                if chrono:
+                    top = max(self.level[abs(q)] for q in self.clauses[confl])
+                else:
+                    top = len(self.trail_lim)
+                if top == 0:
                     self.ok = False
                     return "unsat", None
                 if budget.exhausted() or (limit is not None and self.stats.conflicts >= limit):
                     return "unknown", None
-                learnt, lvl = self._analyze(confl)
-                self._backtrack(lvl)
+                learnt, lvl = self._analyze(confl, top)
+                # a lex call undoes only the conflict level, whatever `lvl` is
+                self._backtrack(top - 1 if chrono else lvl, chrono)
                 li = 0
-                self._enqueue(learnt[0], None if len(learnt) == 1 else self._attach(learnt))
+                self._enqueue(learnt[0], None if len(learnt) == 1 else self._attach(learnt), lvl)
                 self.stats.learned += 1
                 if self.stats.conflicts % 256 == 0:
                     act = self.activity = [a >> 1 for a in self.activity]

@@ -1,12 +1,17 @@
 """Incremental solving: assumptions, reuse across calls, shared budgets."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import astuple
 
+import reference
 from gen import kogge_stone_adder, ripple_adder, sfqify
-from sfqlec import build_mcid, build_miter, builtin_profile
-from sfqlec.sat import Budget, CdclSolver, SolverStats, Tseitin
+from sfqlec import build_mcid, build_miter, builtin_profile, inject
+from sfqlec.miter import VerdictStats
+from sfqlec.sat import Budget, CdclSolver, SolverStats, Tseitin, cnf_from_aig
 
 
 def random_3cnf(rng, num_vars, num_clauses):
@@ -219,7 +224,11 @@ def test_lex_calls_return_the_brute_force_lex_min():
     """`solve(assumptions, lex=order)` returns the smallest model over
     `order` on a fresh solver and on one that has answered calls before
     (learned clauses, level-0 units, saved phases); under
-    `max_conflicts=1` it gives up wherever the fresh call met a conflict."""
+    `max_conflicts=1` it gives up wherever the fresh call met a conflict.
+    A lex call backtracks chronologically and may leave level-0 literals
+    out of order on the trail: a clause added after it, one that blocks
+    its model (or, with none, one the solver has), and a plain call then
+    answer what a fresh solver does."""
     searched = 0
     for seed in range(150):
         rng = random.Random(11000 + seed)
@@ -236,6 +245,8 @@ def test_lex_calls_return_the_brute_force_lex_min():
             order = rng.sample(range(1, nv + 1), rng.randint(1, nv))
             units = [(a,) for a in assumptions]
             want = brute_lex_min(nv, clauses + units, order)
+            block = tuple(-v if want[v] else v for v in order) if want else clauses[0]
+            blocked = brute_lex_min(nv, clauses + [block] + units, order)
             fresh = CdclSolver(nv, clauses)
             for solver in (fresh, used):
                 status, model = solver.solve(assumptions, lex=order)
@@ -246,13 +257,68 @@ def test_lex_calls_return_the_brute_force_lex_min():
                     assert {v: model[v] for v in order} == want, (seed, step)
                     assert satisfies(model, clauses + units), (seed, step)
                 assert not solver.trail_lim
+                if solver is fresh:
+                    lex_conflicts = fresh.stats.conflicts
+                solver.add_clause(block)
+                status, model = solver.solve(assumptions)
+                assert status == ("unsat" if blocked is None else "sat"), (seed, step)
+                assert status == CdclSolver(nv, clauses + [block]).solve(assumptions)[0]
+                if model:
+                    assert satisfies(model, clauses + [block] + units), (seed, step)
+                assert not solver.trail_lim
             capped = CdclSolver(nv, clauses).solve(assumptions, max_conflicts=1, lex=order)
-            if want is not None and fresh.stats.conflicts:
+            if want is not None and lex_conflicts:
                 searched += 1
                 assert capped == ("unknown", None), (seed, step)
-            elif not fresh.stats.conflicts:
+            elif not lex_conflicts:
                 assert capped == CdclSolver(nv, clauses).solve(assumptions, lex=order), (seed, step)
+            clauses.append(block)
     assert searched > 20
+
+
+def lead_fault_lex_call():
+    """The lex-ordered call that canonicalizes sfqify(ks32) with swap-gate
+    seed 5 against ripple32, on a fresh solver over the whole miter's CNF
+    with the cone inputs in label order: (miter, CNF, labels, model,
+    (decisions, conflicts, propagations))."""
+    impl = inject(sfqify(kogge_stone_adder(32)), "swap-gate", seed=5)[0]
+    miter = build_miter(build_mcid(impl, builtin_profile("rsfq")), ripple_adder(32))
+    cnf = cnf_from_aig(miter.aig, miter.root)
+    labels = [miter.aig.label(i) for i in miter.aig.cone([miter.root])[0]]
+    solver = CdclSolver(cnf.num_vars, cnf.clauses)
+    status, model = solver.solve(lex=[cnf.input_vars[lbl] for lbl in labels])
+    assert status == "sat"
+    s = solver.stats
+    return miter, cnf, labels, model, (s.decisions, s.conflicts, s.propagations)
+
+
+LEAD_FAULT_WORK = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import test_sat_incremental
+print(*test_sat_incremental.lead_fault_lex_call()[-1])
+"""
+
+
+def test_lead_fault_lex_call_work_is_pinned():
+    """Chronological backtracking keeps the lex decisions a conflict does
+    not touch.  With backjumping the call took 1,110 decisions, 100
+    conflicts and 19,044 propagations.  The model is the per-bit greedy's
+    from a plain call's witness, and the work repeats under hash seeds 0,
+    1 and 12345."""
+    miter, cnf, labels, model, work = lead_fault_lex_call()
+    assert work == (251, 100, 8553)
+    _, witness = CdclSolver(cnf.num_vars, cnf.clauses).solve()  # a plain call's model
+    witness, got = ({lbl: int(m[cnf.input_vars[lbl]]) for lbl in labels} for m in (witness, model))
+    assert witness != got
+    assert got == reference.lex_min_model(miter.aig, miter.root, witness, VerdictStats(), Budget())
+    here = os.path.dirname(os.path.abspath(__file__))
+    for hash_seed in ("0", "1", "12345"):
+        out = subprocess.run(
+            [sys.executable, "-c", LEAD_FAULT_WORK, here, os.path.join(here, os.pardir, "src")],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        ).stdout
+        assert out == "251 100 8553\n", hash_seed
 
 
 def scan_decide(solver):
