@@ -71,7 +71,10 @@ def check_fanout(netlist: Netlist, profile: TechnologyProfile) -> CheckReport:
     report = CheckReport()
     if not profile.requires_fanout_check:
         return report
+    within = min(profile.splitter_fanout_limit, profile.default_fanout_limit)
     for net, n in count_readers(netlist).items():  # PIs, then gates in order
+        if n <= within:  # within both limits
+            continue
         driver = netlist.driver_of.get(net)
         limit = (
             profile.splitter_fanout_limit
@@ -90,32 +93,31 @@ def base_distances(
 ) -> dict[str, BaseDistanceSet]:
     """One forward pass in topological order; each gate is visited once.
     Each input starts at its lateness in `shifts` (0 when absent)."""
-    non_clocked = profile.non_clocked_kinds
+    non_clocked, new = profile.non_clocked_kinds, tuple.__new__
     shifts = shifts or {}
     out = {pi: BaseDistanceSet(pi, (shifts.get(pi, 0),)) for pi in netlist.primary_inputs}
-    for g in netlist.order:
-        step = 0 if g.kind.name in non_clocked else 1
-        first = out[g.inputs[0]]
-        d = first.distances
-        if len(d) == 1 and not first.truncated:
-            for net in g.inputs[1:]:
-                other = out[net]
-                if other.distances != d or other.truncated:
+    for kind, ins, net in netlist.order:
+        step = 0 if kind.name in non_clocked else 1
+        _, d, cut = out[ins[0]]
+        if len(d) == 1 and not cut:
+            for src in ins[1:]:
+                _, e, cut = out[src]
+                if e != d or cut:
                     break
             else:  # every fanin holds the same singleton
-                out[g.output] = BaseDistanceSet(g.output, (d[0] + step,) if step else d)
+                out[net] = new(BaseDistanceSet, (net, (d[0] + step,) if step else d, False))
                 continue
         merged: set[int] = set()
         truncated = False
-        for net in g.inputs:
-            src = out[net]
-            truncated = truncated or src.truncated
-            merged.update(d + step for d in src.distances)
+        for src in ins:
+            _, dists, cut = out[src]
+            truncated = truncated or cut
+            merged.update(d + step for d in dists)
         if len(merged) > DISTANCE_CAP:
             truncated = True
         if truncated:
             merged = {min(merged), max(merged)}
-        out[g.output] = BaseDistanceSet(g.output, tuple(sorted(merged)), truncated)
+        out[net] = new(BaseDistanceSet, (net, tuple(sorted(merged)), truncated))
     return out
 
 
@@ -133,11 +135,15 @@ def check_path_balance(
     dists = base_distances(netlist, profile, shifts)
     if not po_only:
         for g in netlist.order:
-            if len(g.inputs) == 1:
-                f = dists[g.inputs[0]]
-                if len(f.distances) == 1 and not f.truncated:
+            ins = g.inputs
+            _, d, cut = dists[ins[0]]
+            if len(d) == 1 and not cut:
+                if len(ins) == 1:
                     continue  # one balanced fanin: nothing to compare
-            fanins = [dists[net] for net in g.inputs]
+                _, e, cut = dists[ins[1]]
+                if e == d and not cut:
+                    continue  # both fanins hold the same singleton
+            fanins = [dists[net] for net in ins]
             bad = next((f for f in fanins if not f.is_singleton), None)
             if bad is not None:
                 report.violations.append(

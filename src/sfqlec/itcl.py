@@ -96,8 +96,9 @@ def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:
             prev = out
         replace[pin] = prev
 
+    new, get = tuple.__new__, replace.get
     gates = chains + [
-        Gate(g.kind, tuple(replace.get(i, i) for i in g.inputs), g.output) for g in mcid.gates
+        new(Gate, (kind, tuple([get(i, i) for i in ins]), out)) for kind, ins, out in mcid.gates
     ]
     outputs = {po: replace.get(sig, sig) for po, sig in mcid.outputs.items()}
     timed_inputs = tuple(sorted(new_pins))

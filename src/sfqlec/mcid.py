@@ -69,7 +69,7 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
     # A (net, step) whose fanins are not all expanded yet goes back on the
     # stack under them, so it is emitted after them (DFS post-order).
     stack: list[tuple[str, int]] = []
-    push, pop = stack.append, stack.pop
+    push, pop, new = stack.append, stack.pop, tuple.__new__
 
     for po in netlist.primary_outputs:
         push((po, 0))
@@ -80,7 +80,7 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
             net, t = key
             gate = driver_of.get(net)
             if gate is None:  # a primary input
-                sig = memo[key] = TimedSignal(net, t)
+                sig = memo[key] = new(TimedSignal, key)
                 pins.append(sig)
                 continue
             kind, ins, _ = gate
@@ -90,9 +90,16 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
             a = (ins[0], s)
             fa = memo.get(a)
             if len(ins) == 1:
-                if fa is None:
+                if fa is None:  # push the chain of one-input cells below, each once
                     push(key)
-                    push(a)
+                    while True:
+                        push(a)
+                        below = driver_of.get(a[0])
+                        if below is None or len(below.inputs) != 1:
+                            break
+                        a = (below.inputs[0], a[1] if below.kind.name in non_clocked else a[1] - 1)
+                        if a in memo:
+                            break
                     continue
                 if name == "SPLIT":  # elided: the net aliases its fanin's copy
                     memo[key] = fa
@@ -109,8 +116,8 @@ def build_mcid(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> MCIDCircu
                         push(a)
                     continue
                 fanins = (fa, fb)
-            sig = memo[key] = TimedSignal(net, t)
-            gates.append(Gate(buf if name == "DFF" else kind, fanins, sig))
+            sig = memo[key] = new(TimedSignal, key)
+            gates.append(new(Gate, (buf if name == "DFF" else kind, fanins, sig)))
 
     timed_inputs = tuple(sorted(set(pins)))
     outputs = {po: memo[(po, 0)] for po in netlist.primary_outputs}

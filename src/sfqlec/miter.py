@@ -42,7 +42,7 @@ from .errors import SfqlecError
 from .itcl import ArrivalSchedule, InputMatching, apply_itcl, match_inputs
 from .mcid import MCIDCircuit, build_mcid
 from .netlist import Netlist, first_pipeline_cell
-from .profiles import RSFQ, TechnologyProfile
+from .profiles import KINDS, RSFQ, TechnologyProfile
 from .sat import Budget, CdclSolver, Tseitin, cnf_from_aig
 from .trace import TimedTrace
 
@@ -113,10 +113,13 @@ def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:
         missing = sorted(want ^ have)
         raise MiterError(f"output names differ between model and spec: {', '.join(missing)}")
 
-    aig = Aig()
+    aig, buf = Aig(), KINDS["BUF"]
     edge = {pin: aig.input_(pin) for pin in mcid.timed_inputs}
-    for g in mcid.gates:
-        edge[g.output] = g.kind.meaning(aig, *[edge[i] for i in g.inputs])
+    for kind, ins, out in mcid.gates:
+        if kind is buf:  # every unrolled DFF: the identity, so its fanin's edge
+            edge[out] = edge[ins[0]]
+        else:
+            edge[out] = kind.meaning(aig, *[edge[i] for i in ins])
     gold = {pi: edge[matching.matched[pi]] for pi in golden.primary_inputs}
     for g in golden.order:
         gold[g.output] = g.kind.meaning(aig, *[gold[i] for i in g.inputs])

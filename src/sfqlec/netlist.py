@@ -6,12 +6,17 @@ one pipeline stage deep.  Which kinds count as clocked is decided by the
 technology profile alone.
 
 `Gate` is a tuple-backed record (a `typing.NamedTuple`): immutable, hashed
-and compared by value, and equal to the plain tuple of its fields.
+and compared by value, and equal to the plain tuple of its fields.  Hot
+loops build records as `tuple.__new__(Gate, fields)`, the same record
+without the Python-level constructor (so without field defaults).
 """
 
+from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 import heapq
+from itertools import chain
+from operator import attrgetter
 import re
 from typing import NamedTuple
 
@@ -160,7 +165,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
     seen_pis: set[str] = set()
     seen_outputs: set[str] = set()
     seen_pos: set[str] = set()
-    gate_line, kind_of = _GATE_LINE_RE.fullmatch, KINDS.get
+    gate_line, kind_of, new = _GATE_LINE_RE.fullmatch, KINDS.get, tuple.__new__
     for line_no, raw in enumerate(text.splitlines(), start=1):
         m = gate_line(raw)
         if m:  # the common case; anything it does not settle goes the long way
@@ -168,7 +173,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
             kind = kind_of(kind_name) or kind_of(kind_name.upper())
             if kind is not None and kind.arity == (1 if b is None else 2) and out not in seen_outputs:
                 seen_outputs.add(out)
-                gates.append(Gate(kind, (a,) if b is None else (a, b), out))
+                gates.append(new(Gate, (kind, (a,) if b is None else (a, b), out)))
                 continue
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -233,15 +238,11 @@ def first_pipeline_cell(netlist: Netlist) -> Gate | None:
 
 
 def count_readers(netlist: Netlist) -> dict[str, int]:
-    """Sinks of every net: gate input pins plus primary output pins."""
-    readers = {pi: 0 for pi in netlist.primary_inputs}
-    for g in netlist.gates:
-        readers.setdefault(g.output, 0)
-    for g in netlist.gates:
-        for net in g.inputs:
-            readers[net] += 1
-    for po in netlist.primary_outputs:
-        readers[po] += 1  # an output pin is one physical sink
+    """Sinks of every net, PIs first, then gates in order (`driver_of`'s
+    order): gate input pins plus primary output pins, one sink each."""
+    readers = dict.fromkeys(chain(netlist.primary_inputs, netlist.driver_of), 0)
+    pins = chain.from_iterable(map(attrgetter("inputs"), netlist.gates))
+    readers.update(Counter(chain(pins, netlist.primary_outputs)))
     return readers
 
 

@@ -1,10 +1,10 @@
 """Straight-line references for rewritten hot paths.
 
 `parse_netlist`, `Netlist`'s validation and topological order,
-`base_distances` and `build_mcid` were rewritten to cut per-gate overhead.
-These are the plain loops they replaced, kept so that
-tests/test_front_end_reference.py can require equal results and identical
-error messages.
+`base_distances`, `check_path_balance`, `build_mcid` and `build_miter`
+were rewritten to cut per-gate overhead.  These are the plain loops they
+replaced, kept so that tests/test_front_end_reference.py can require equal
+results and identical error messages.
 
 `simulation_witness` is the decide phase's simulation pre-pass as it ran
 round by round, before one draw served every round; tests/test_miter.py
@@ -25,7 +25,16 @@ import random
 import re
 
 from sfqlec import miter
-from sfqlec.checks import DISTANCE_CAP, BaseDistanceSet
+from sfqlec.aig import FALSE, Aig
+from sfqlec.checks import (
+    DISTANCE_CAP,
+    UNBALANCED_FANIN,
+    UNEQUAL_OUTPUT_DEPTH,
+    BaseDistanceSet,
+    CheckReport,
+    Violation,
+)
+from sfqlec.itcl import match_inputs
 from sfqlec.mcid import MCIDCircuit, TimedSignal
 from sfqlec.netlist import BenchParseError, Gate, NetlistError, get_kind
 from sfqlec.profiles import KINDS
@@ -150,9 +159,10 @@ def parse_netlist(text: str):
     return pis, pos, gates, validated_order(pis, pos, gates)
 
 
-def base_distances(netlist, profile) -> dict[str, BaseDistanceSet]:
+def base_distances(netlist, profile, shifts=None) -> dict[str, BaseDistanceSet]:
+    shifts = shifts or {}
     out: dict[str, BaseDistanceSet] = {
-        pi: BaseDistanceSet(pi, (0,)) for pi in netlist.primary_inputs
+        pi: BaseDistanceSet(pi, (shifts.get(pi, 0),)) for pi in netlist.primary_inputs
     }
     for g in netlist.order:
         step = 1 if profile.is_clocked(g.kind.name) else 0
@@ -168,6 +178,47 @@ def base_distances(netlist, profile) -> dict[str, BaseDistanceSet]:
             merged = {min(merged), max(merged)}
         out[g.output] = BaseDistanceSet(g.output, tuple(sorted(merged)), truncated)
     return out
+
+
+def check_path_balance(netlist, profile, po_only=False, shifts=None) -> CheckReport:
+    """Every gate's fanin list scanned for a non-singleton set, then for a
+    depth unlike the first fanin's; then the primary outputs."""
+    report = CheckReport()
+    if not profile.requires_path_balancing:
+        return report
+    dists = base_distances(netlist, profile, shifts)
+    if not po_only:
+        for g in netlist.order:
+            fanins = [dists[net] for net in g.inputs]
+            bad = next((f for f in fanins if not f.is_singleton), None)
+            if bad is not None:
+                lengths = ",".join(map(str, bad.distances))
+                report.violations.append(
+                    Violation(UNBALANCED_FANIN, g.output, f"fanin {bad.net} has path lengths {{{lengths}}}")
+                )
+                continue
+            first = fanins[0]
+            mismatch = next((f for f in fanins[1:] if f.depth != first.depth), None)
+            if mismatch is not None:
+                report.violations.append(
+                    Violation(
+                        UNBALANCED_FANIN,
+                        g.output,
+                        f"fanin {first.net} at depth {first.depth} vs {mismatch.net} at depth {mismatch.depth}",
+                    )
+                )
+    po_sets = [dists[po] for po in netlist.primary_outputs]
+    singleton_depths = {s.depth for s in po_sets if s.is_singleton}
+    want = min(singleton_depths) if singleton_depths else None
+    for s in po_sets:
+        if not s.is_singleton:
+            lengths = ",".join(map(str, s.distances))
+            report.violations.append(Violation(UNEQUAL_OUTPUT_DEPTH, s.net, f"path lengths {{{lengths}}}"))
+        elif want is not None and s.depth != want:
+            report.violations.append(
+                Violation(UNEQUAL_OUTPUT_DEPTH, s.net, f"depth {s.depth} differs from depth {want}")
+            )
+    return report
 
 
 def build_mcid(netlist, profile) -> MCIDCircuit:
@@ -216,6 +267,26 @@ def build_mcid(netlist, profile) -> MCIDCircuit:
     return MCIDCircuit(
         netlist.name, tuple(netlist.primary_inputs), gates, timed_inputs, outputs, duplicated
     )
+
+
+def build_miter(mcid, golden) -> miter.Miter:
+    """`miter.build_miter` on valid input, every gate built through its
+    kind's meaning (no check of the spec's shape or output names)."""
+    matching = match_inputs(mcid, list(golden.primary_inputs))
+    aig = Aig()
+    edge = {pin: aig.input_(pin) for pin in mcid.timed_inputs}
+    for g in mcid.gates:
+        edge[g.output] = g.kind.meaning(aig, *[edge[i] for i in g.inputs])
+    gold = {pi: edge[matching.matched[pi]] for pi in golden.primary_inputs}
+    for g in golden.order:
+        gold[g.output] = g.kind.meaning(aig, *[gold[i] for i in g.inputs])
+    outputs, root = {}, FALSE
+    for po in golden.primary_outputs:
+        ie, ge = edge[mcid.outputs[po]], gold[po]
+        xe = aig.xor_(ie, ge)
+        outputs[po] = (ie, ge, xe)
+        root = aig.or_(root, xe)
+    return miter.Miter(aig, root, outputs, matching, mcid)
 
 
 def simulation_witness(aig, root: int, seed, rounds: int = 8, width: int = 64):

@@ -1,10 +1,13 @@
 """The rewritten front end against its straight-line references.
 
 `parse_netlist` (with `Netlist` validation and its topological order),
-`base_distances` and `build_mcid` must give exactly what the loops in
-tests/reference.py give: the same gates in the same order, the same
-distance sets, the same unrolled model, and on bad input the same error
-with the same message and line number.
+`base_distances`, `check_path_balance`, `build_mcid` and `build_miter` must
+give exactly what the loops in tests/reference.py give: the same gates in
+the same order, the same distance sets and violation lines, the same
+unrolled model and graph, and on bad input the same error with the same
+message and line number.  The hot loops build their records with
+`tuple.__new__`, so the records' types are checked too: a bare tuple
+would compare equal.
 """
 
 import random
@@ -15,8 +18,20 @@ import pytest
 import circuits
 import reference
 from gen import kogge_stone_adder, random_comb, random_pipeline, ripple_adder, sfqify
-from sfqlec import Netlist, NetlistError, base_distances, build_mcid, builtin_profile, parse_netlist
-from sfqlec.checks import DISTANCE_CAP
+from sfqlec import (
+    ArrivalSchedule,
+    Netlist,
+    NetlistError,
+    apply_itcl,
+    base_distances,
+    build_mcid,
+    build_miter,
+    builtin_profile,
+    check_path_balance,
+    parse_netlist,
+)
+from sfqlec.checks import DISTANCE_CAP, UNBALANCED_FANIN, UNEQUAL_OUTPUT_DEPTH, BaseDistanceSet
+from sfqlec.mcid import TimedSignal
 from sfqlec.netlist import Gate, bench_text, get_kind
 
 PROFILES = [builtin_profile(name) for name in ("rsfq", "aqfp", "cmos")]
@@ -33,6 +48,25 @@ def wide_distance_netlist() -> Netlist:
     return parse_netlist("\n".join(lines) + "\n", name="wide")
 
 
+def chained_pipeline(seed: int) -> Netlist:
+    """A random pipeline with a chain of up to six one-input cells (DFF,
+    INV, BUF, SPLIT) spliced in front of every gate pin."""
+    rng = random.Random(seed)
+    base = random_pipeline(rng, n_pis=3, n_gates=12)
+    one_input = [get_kind(k) for k in ("DFF", "DFF", "INV", "BUF", "SPLIT")]
+    gates = []
+    for g in base.gates:
+        ins = []
+        for pin, net in enumerate(g.inputs):
+            for j in range(rng.randint(0, 6)):
+                out = f"{g.output}_c{pin}_{j}"
+                gates.append(Gate(rng.choice(one_input), (net,), out))
+                net = out
+            ins.append(net)
+        gates.append(Gate(g.kind, tuple(ins), g.output))
+    return Netlist(f"chain{seed}", base.primary_inputs, base.primary_outputs, tuple(gates))
+
+
 def sample_netlists():
     for seed in range(12):
         rng = random.Random(seed)
@@ -42,6 +76,9 @@ def sample_netlists():
         yield f"pipe{seed}", random_pipeline(rng, n_pis=rng.randint(2, 4), n_gates=rng.randint(3, 20))
     yield "sfq_ks8", sfqify(kogge_stone_adder(8))
     yield "sfq_ripple6", sfqify(ripple_adder(6))
+    yield "sfq_ripple16", sfqify(ripple_adder(16))  # long DFF chains into two-input cells
+    for seed in range(4):
+        yield f"chain{seed}", chained_pipeline(seed)
     for make in (
         circuits.late_d_netlist,
         circuits.late_d_golden,
@@ -82,6 +119,81 @@ def test_distance_sets_and_model_match_the_reference(name, net):
         assert mcid.timed_inputs == want.timed_inputs
         assert list(mcid.outputs.items()) == list(want.outputs.items())
         assert mcid.duplicated_gate_count == want.duplicated_gate_count
+
+
+def _shifts(net: Netlist) -> dict[str, int]:
+    return {pi: i % 3 for i, pi in enumerate(net.primary_inputs)}
+
+
+@pytest.mark.parametrize("name,net", SAMPLES, ids=[name for name, _ in SAMPLES])
+def test_path_balance_matches_the_reference(name, net):
+    for profile in PROFILES:
+        for po_only in (False, True):
+            for shifts in (None, _shifts(net)):
+                got = check_path_balance(net, profile, po_only=po_only, shifts=shifts)
+                want = reference.check_path_balance(net, profile, po_only=po_only, shifts=shifts)
+                assert got.lines() == want.lines()
+
+
+def test_balance_compares_two_singleton_fanins_by_depth():
+    rsfq = builtin_profile("rsfq")
+    head = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nda = DFF(a)\nb1 = DFF(b)\n"
+    even = parse_netlist(head + "y = AND2(da, b1)\n")
+    late = parse_netlist(head + "b2 = DFF(b1)\ny = AND2(da, b2)\n")
+    unequal = [
+        f"VIOLATION {UNBALANCED_FANIN} y fanin da at depth 1 vs b2 at depth 2",
+        f"VIOLATION {UNEQUAL_OUTPUT_DEPTH} y path lengths {{2,3}}",
+    ]
+    for net, want in ((even, []), (late, unequal)):
+        assert check_path_balance(net, rsfq).lines() == want
+        assert reference.check_path_balance(net, rsfq).lines() == want
+
+
+def _assert_model_records(mcid):
+    assert all(type(g) is Gate for g in mcid.gates)
+    nets = [g.output for g in mcid.gates] + [i for g in mcid.gates for i in g.inputs]
+    nets += list(mcid.timed_inputs) + list(mcid.outputs.values())
+    assert all(type(s) is TimedSignal for s in nets)
+
+
+@pytest.mark.parametrize("name,net", SAMPLES, ids=[name for name, _ in SAMPLES])
+def test_records_keep_their_types(name, net):
+    parsed = parse_netlist(bench_text(net.primary_inputs, net.primary_outputs, net.gates))
+    assert all(type(g) is Gate for g in parsed.gates + parsed.order)
+    late = ArrivalSchedule({pi: k for pi, k in _shifts(net).items() if k})
+    for profile in PROFILES:
+        dists = base_distances(parsed, profile, _shifts(net))
+        assert all(type(d) is BaseDistanceSet for d in dists.values())
+        mcid = build_mcid(parsed, profile)
+        _assert_model_records(mcid)
+        _assert_model_records(apply_itcl(mcid, late))
+
+
+def _miter_pairs():
+    for seed in range(12):
+        rng = random.Random(seed)
+        comb = random_comb(rng, n_pis=rng.randint(2, 5), n_gates=rng.randint(2, 14))
+        yield f"comb{seed}", sfqify(comb), comb, ""
+    for make in (kogge_stone_adder, ripple_adder):
+        for bits in (6, 16):
+            yield f"{make.__name__}{bits}", sfqify(make(bits)), make(bits), ""
+    yield "late_d_d1", circuits.late_d_netlist(), circuits.late_d_golden(), "d:1"
+
+
+MITER_PAIRS = list(_miter_pairs())
+
+
+@pytest.mark.parametrize("name,impl,spec,arrivals", MITER_PAIRS, ids=[p[0] for p in MITER_PAIRS])
+def test_miter_matches_the_reference(name, impl, spec, arrivals):
+    schedule = ArrivalSchedule.parse(arrivals)
+    for profile in (builtin_profile("rsfq"), builtin_profile("aqfp")):
+        mcid = apply_itcl(build_mcid(impl, profile), schedule)
+        got, want = build_miter(mcid, spec), reference.build_miter(mcid, spec)
+        assert got.aig.nodes == want.aig.nodes
+        assert list(got.outputs.items()) == list(want.outputs.items())
+        assert got.root == want.root
+    if arrivals:  # the schedule spliced BUF chains in front of the late pins
+        assert any(".itcl." in g.output.net for g in mcid.gates)
 
 
 def test_wide_sample_exercises_truncation():

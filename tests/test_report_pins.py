@@ -221,3 +221,29 @@ def test_mixed_per_output_report_is_pinned(tmp_path, capsys):
     assert code == 1
     assert "output s3 inequivalent" in out.splitlines()
     assert hashlib.sha256(out.encode()).hexdigest() == KS16_SWAP2_PER_OUTPUT_SHA256
+
+
+# sha256 of stdout for two commands on sfqify(ripple32), whose model is
+# mostly DFF chains (unrolled to BUF chains): the model dump with every b
+# input one cycle late (3,233 gates, window -66..-65), and the structural
+# check of its `remove-dff` seed-0 fault (32 violations, exit 3).  Both were
+# computed before the front end began to build its records with
+# `tuple.__new__` and to walk one-input chains in one loop, so they pin the
+# output that rewrite had to keep.
+R32_LATE_B_MCID_SHA256 = "ac50475158b42b6882ddfb2f2c4a4d19313bf0e669316e75144e5a089552bb91"
+R32_NODFF_CHECK_SHA256 = "c998eb86e81cfe7be77b9bd273d2c9fdcf13ebc03d46a4269ba57e987ffaedf0"
+
+
+def test_dff_chain_front_end_outputs_are_pinned(tmp_path, capsys):
+    r32 = tmp_path / "r32.bench"
+    r32.write_text(write_netlist(sfqify(ripple_adder(32))))
+    nodff = tmp_path / "nodff.bench"
+    nodff.write_text(write_netlist(inject(sfqify(ripple_adder(32)), "remove-dff", seed=0)[0]))
+    late_b = ",".join(f"b{i}:1" for i in range(32))
+    got = [run(capsys, "build-mcid", r32, "--arrivals", late_b), run(capsys, "check-structure", nodff)]
+    assert got[0][1].count(" = ") == 3233
+    assert got[1][1].count("VIOLATION ") == 32
+    assert [(code, hashlib.sha256(out.encode()).hexdigest()) for code, out in got] == [
+        (0, R32_LATE_B_MCID_SHA256),
+        (3, R32_NODFF_CHECK_SHA256),
+    ]
