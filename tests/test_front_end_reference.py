@@ -160,7 +160,7 @@ def _assert_model_records(mcid):
 def test_records_keep_their_types(name, net):
     parsed = parse_netlist(bench_text(net.primary_inputs, net.primary_outputs, net.gates))
     assert all(type(g) is Gate for g in parsed.gates + parsed.order)
-    late = ArrivalSchedule({pi: k for pi, k in _shifts(net).items() if k})
+    late = ArrivalSchedule(_shifts(net))
     for profile in PROFILES:
         dists = base_distances(parsed, profile, _shifts(net))
         assert all(type(d) is BaseDistanceSet for d in dists.values())
