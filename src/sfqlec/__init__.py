@@ -1,13 +1,6 @@
 """Logical equivalence checking for ultra-deep-pipelined clocked netlists."""
 
-from .checks import (
-    BaseDistanceSet,
-    CheckReport,
-    Violation,
-    base_distances,
-    check_fanout,
-    check_path_balance,
-)
+from .checks import CheckReport, Violation, check_fanout, check_path_balance
 from .errors import SfqlecError
 from .faults import FAULT_KINDS, FaultSpec, inject
 from .itcl import ArrivalSchedule, InputMatching, apply_itcl, match_inputs
@@ -20,9 +13,11 @@ from .mcid import (
 )
 from .miter import Miter, Verdict, VerdictStats, build_miter, check_equivalence, extract_trace, verify
 from .netlist import (
+    BaseDistanceSet,
     Gate,
     Netlist,
     NetlistError,
+    base_distances,
     circuit_depth,
     logic_levels,
     parse_netlist,

@@ -5,10 +5,15 @@ property of the gate kind (there are no clock nets): every clocked gate is
 one pipeline stage deep.  Which kinds count as clocked is decided by the
 technology profile alone.
 
-`Gate` is a tuple-backed record (a `typing.NamedTuple`): immutable, hashed
-and compared by value, and equal to the plain tuple of its fields.  Hot
-loops build records as `tuple.__new__(Gate, fields)`, the same record
-without the Python-level constructor (so without field defaults).
+Depth is one forward pass, `base_distances`: for each net, the set of
+clocked-gate path lengths from any primary input down to that net.  A
+net's logic level is the largest value of its set.
+
+`Gate` and `BaseDistanceSet` are tuple-backed records (`typing.NamedTuple`):
+immutable, hashed and compared by value, and equal to the plain tuple of
+their fields.  Hot loops build records as `tuple.__new__(Record, fields)`,
+the same record without the Python-level constructor (so without field
+defaults).
 """
 
 from collections import Counter
@@ -246,17 +251,64 @@ def count_readers(netlist: Netlist) -> dict[str, int]:
     return readers
 
 
+# Distance sets wider than this are truncated to {min, max}; they are
+# non-singleton either way, so the verdict is unaffected.
+DISTANCE_CAP = 64
+
+
+class BaseDistanceSet(NamedTuple):
+    net: str
+    distances: tuple[int, ...]  # sorted, possibly truncated to (min, max)
+    truncated: bool = False
+
+    @property
+    def is_singleton(self) -> bool:
+        return len(self.distances) == 1  # a truncated set holds two values
+
+    @property
+    def depth(self) -> int:
+        return self.distances[-1]
+
+
+def base_distances(
+    netlist: Netlist, profile: TechnologyProfile, shifts: dict[str, int] | None = None
+) -> dict[str, BaseDistanceSet]:
+    """One forward pass in topological order; each gate is visited once.
+    Each input starts at its lateness in `shifts` (0 when absent).  Keys are
+    the PIs, then the gates in `netlist.order`."""
+    non_clocked, new = profile.non_clocked_kinds, tuple.__new__
+    shifts = shifts or {}
+    out = {pi: BaseDistanceSet(pi, (shifts.get(pi, 0),)) for pi in netlist.primary_inputs}
+    for kind, ins, net in netlist.order:
+        step = 0 if kind.name in non_clocked else 1
+        _, d, _ = out[ins[0]]
+        if len(d) == 1:
+            for src in ins[1:]:
+                if out[src].distances != d:
+                    break
+            else:  # every fanin holds the same singleton
+                out[net] = new(BaseDistanceSet, (net, (d[0] + step,) if step else d, False))
+                continue
+        merged: set[int] = set()
+        truncated = False
+        for src in ins:
+            _, dists, cut = out[src]
+            truncated = truncated or cut
+            merged.update(d + step for d in dists)
+        if len(merged) > DISTANCE_CAP:
+            truncated = True
+        if truncated:
+            merged = {min(merged), max(merged)}
+        out[net] = new(BaseDistanceSet, (net, tuple(sorted(merged)), truncated))
+    return out
+
+
 def logic_levels(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> dict[str, int]:
     """Level of every net: max count of clocked gates on any PI-to-net path."""
-    non_clocked = profile.non_clocked_kinds
-    levels = {pi: 0 for pi in netlist.primary_inputs}
-    for g in netlist.order:
-        step = 0 if g.kind.name in non_clocked else 1
-        levels[g.output] = max(levels[net] for net in g.inputs) + step
-    return levels
+    return {net: s.distances[-1] for net, s in base_distances(netlist, profile).items()}
 
 
 def circuit_depth(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> int:
     """Maximum logic level over the primary outputs."""
-    levels = logic_levels(netlist, profile)
-    return max((levels[po] for po in netlist.primary_outputs), default=0)
+    dists = base_distances(netlist, profile)
+    return max((dists[po].depth for po in netlist.primary_outputs), default=0)

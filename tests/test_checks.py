@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import sfqlec
+import sfqlec.checks
+import sfqlec.netlist
 from circuits import late_d_netlist
 from gen import enumerate_path_sets, oracle_balanced, random_comb, random_pipeline, sfqify
 from sfqlec import (
@@ -178,3 +181,10 @@ def test_base_distance_set_is_an_immutable_value_record():
     assert repr(s) == "BaseDistanceSet(net='n', distances=(2, 5), truncated=True)"
     assert (s.is_singleton, s.depth) == (False, 5)
     assert (BaseDistanceSet("n", (3,)).is_singleton, BaseDistanceSet("n", (3,)).depth) == (True, 3)
+
+
+def test_distance_names_resolve_to_the_netlist_module():
+    for name in ("base_distances", "BaseDistanceSet", "DISTANCE_CAP"):
+        assert getattr(sfqlec.checks, name) is getattr(sfqlec.netlist, name), name
+    assert sfqlec.base_distances is sfqlec.netlist.base_distances
+    assert sfqlec.BaseDistanceSet is sfqlec.netlist.BaseDistanceSet

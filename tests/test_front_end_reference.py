@@ -133,6 +133,14 @@ def test_path_balance_matches_the_reference(name, net):
                 got = check_path_balance(net, profile, po_only=po_only, shifts=shifts)
                 want = reference.check_path_balance(net, profile, po_only=po_only, shifts=shifts)
                 assert got.lines() == want.lines()
+                if po_only or not profile.requires_path_balancing:
+                    continue
+                # the gates flagged are exactly those whose own set is wider
+                # than one value, and a truncated set keeps exactly two
+                dists = base_distances(net, profile, shifts)
+                flagged = [v.location for v in got.violations if v.kind == UNBALANCED_FANIN]
+                assert flagged == [n for n, s in dists.items() if len(s.distances) > 1]
+                assert all(len(s.distances) == 2 for s in dists.values() if s.truncated)
 
 
 def test_balance_compares_two_singleton_fanins_by_depth():

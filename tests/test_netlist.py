@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from gen import random_comb, random_pipeline
-from sfqlec import Netlist, NetlistError, parse_netlist, write_netlist
+from gen import enumerate_path_sets, kogge_stone_adder, random_comb, random_pipeline, ripple_adder, sfqify
+from sfqlec import Netlist, NetlistError, builtin_profile, parse_netlist, write_netlist
 from sfqlec.netlist import (
+    DISTANCE_CAP,
     BenchParseError,
     Gate,
+    base_distances,
     circuit_depth,
     get_kind,
     logic_levels,
@@ -74,6 +76,32 @@ def test_logic_levels_on_a_chain():
     assert lv["c"] == 2
     assert lv["d"] == 3
     assert circuit_depth(net) == 3
+
+
+def test_levels_are_the_max_of_the_definitional_path_sets():
+    cases = []
+    for seed in range(40):  # the pipelines of test_distance_sets_match_definitional_recursion
+        rng = random.Random(1000 + seed)
+        cases.append(random_pipeline(rng, n_pis=rng.randint(2, 4), n_gates=rng.randint(3, 16)))
+    cases += [sfqify(kogge_stone_adder(8)), sfqify(ripple_adder(8))]
+    # the wide netlist of test_wide_distance_sets_are_truncated_not_enumerated:
+    # its sets are cut to {min, max}, and it has too many paths to enumerate
+    n_stages = DISTANCE_CAP + 6
+    lines = ["INPUT(x0)", "OUTPUT(out)"]
+    prev = "x0"
+    for i in range(n_stages):
+        lines += [f"s{i} = SPLIT({prev})", f"d{i} = DFF(s{i})", f"m{i} = AND2(s{i}, d{i})"]
+        prev = f"m{i}"
+    wide = parse_netlist("\n".join(lines + [f"out = BUF({prev})"]) + "\n")
+    for profile in (builtin_profile(name) for name in ("rsfq", "aqfp", "cmos")):
+        for net in cases:
+            want = {n: max(s) for n, s in enumerate_path_sets(net, profile.non_clocked_kinds).items()}
+            assert logic_levels(net, profile) == want, (net.name, profile.name)
+            assert circuit_depth(net, profile) == max(want[po] for po in net.primary_outputs)
+        step = {k: int(k not in profile.non_clocked_kinds) for k in ("SPLIT", "DFF", "AND2", "BUF")}
+        longest = n_stages * (step["SPLIT"] + step["DFF"] + step["AND2"]) + step["BUF"]
+        assert base_distances(wide, profile)["out"].truncated
+        assert logic_levels(wide, profile)["out"] == circuit_depth(wide, profile) == longest, profile.name
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ pasting its stdout, or for the adder case printing
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -247,3 +248,34 @@ def test_dff_chain_front_end_outputs_are_pinned(tmp_path, capsys):
         (0, R32_LATE_B_MCID_SHA256),
         (3, R32_NODFF_CHECK_SHA256),
     ]
+
+
+# The non-verify readers of logic levels: the remove-dff targets of
+# sfqify(ks32) for seeds 0-7 (`nearest_outputs` ranks the eligible storage
+# by level), and sha256 of `simulate` stdout on sfqify(ks16) for twelve
+# seeded waves with the default extra cycles (`circuit_depth`: 10 under
+# rsfq, 26 under aqfp).  All were computed before `logic_levels` became a
+# read of the base-distance sets, so they pin the levels it had to keep.
+KS32_REMOVE_DFF_TARGETS = [
+    "cc23_dl_341", "s10_pad_708", "s7", "cc28_dl_370",
+    "cc28_dl_370", "cc21_dl_330", "s6_pad_695", "s0_pad_662",
+]
+KS16_SIMULATE_SHA256 = {
+    "rsfq": (22, "06ee68f821d7661d16f89087de22f7a08c79feac4099aa0070f79034038e55b9"),
+    "aqfp": (38, "1c5d003b69a7adafc472d4eadfebf5d9d5fe340c7f759362266d38cc760d5070"),
+}
+
+
+def test_level_readers_are_pinned(tmp_path, capsys):
+    ks32 = sfqify(kogge_stone_adder(32))
+    assert [inject(ks32, "remove-dff", seed=s)[1].target for s in range(8)] == KS32_REMOVE_DFF_TARGETS
+    ks16 = sfqify(kogge_stone_adder(16))
+    rng = random.Random(16)
+    waves = [" ".join(f"{pi}={rng.randint(0, 1)}" for pi in ks16.primary_inputs) for _ in range(12)]
+    (tmp_path / "ks16.bench").write_text(write_netlist(ks16))
+    (tmp_path / "in.waves").write_text("\n".join(waves) + "\n")
+    for profile, (cycles, digest) in KS16_SIMULATE_SHA256.items():
+        code, out = run(
+            capsys, "simulate", tmp_path / "ks16.bench", "--waves", tmp_path / "in.waves", "--profile", profile
+        )
+        assert (code, out.count("CYCLE "), hashlib.sha256(out.encode()).hexdigest()) == (0, cycles, digest)
