@@ -43,7 +43,7 @@ from .itcl import ArrivalSchedule, InputMatching, apply_itcl, match_inputs
 from .mcid import MCIDCircuit, build_mcid
 from .netlist import Netlist, first_pipeline_cell
 from .profiles import KINDS, RSFQ, TechnologyProfile
-from .sat import Budget, CdclSolver, Tseitin, cnf_from_aig
+from .sat import Budget, CdclSolver, Tseitin, cone_solver
 from .trace import TimedTrace
 
 _SIM_ROUNDS = 8
@@ -143,8 +143,8 @@ def _lex_min_model(
     one solver call that decides the cone inputs in label order, each to 0
     first (`CdclSolver.solve`'s `lex`).  `sat` is (solver, label ->
     variable, assumptions asserting the root) when the decision already
-    has a solver; otherwise the root's own CNF is built.  A call the budget
-    stops, or a cone over the cap, keeps `model`, the witness as found.
+    has a solver; otherwise `sat.cone_solver` builds one from this cone.  A
+    call the budget stops, or a cone over the cap, keeps `model`, the witness.
     """
     ins, ands = aig.cone([root])
     labels = [aig.label(i) for i in ins]
@@ -156,8 +156,7 @@ def _lex_min_model(
         stats.trace_canonical = "capped"
         return model
     if sat is None:
-        cnf = cnf_from_aig(aig, root)
-        sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars, []
+        sat = *cone_solver(aig, root, ins, ands), []
     solver, var_of, base = sat
     status, m = solver.solve(base, budget, lex=[var_of[lbl] for lbl in labels])
     stats.canon_sat_calls += 1

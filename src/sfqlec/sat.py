@@ -1,4 +1,4 @@
-"""Lazy Tseitin encoding and a small incremental CDCL solver.
+"""Tseitin encoding, lazy or of a whole cone, and an incremental CDCL solver.
 
 The solver is deliberately deterministic: decisions break activity ties by
 variable index, phases start at False, and there are no restarts or
@@ -52,11 +52,11 @@ class Cnf:
 
 
 class Tseitin:
-    """Lazy Tseitin encoding of an AIG: `lit(edge)` is an edge's literal.
+    """Tseitin encoding of an AIG: `lit(edge)` is an edge's literal.
     A node's first use numbers it and every unnumbered node below it, fanins
     first, from 1 up, and hands each and-node's three clauses to `emit`."""
 
-    def __init__(self, aig, emit):
+    def __init__(self, aig, emit=None):
         self.aig, self.emit = aig, emit
         self.var: dict[int, int] = {}  # node -> variable
         self.input_var: dict = {}  # input label -> variable
@@ -87,22 +87,49 @@ class Tseitin:
         v = var[edge >> 1]
         return -v if edge & 1 else v
 
+    def cone(self, ins: list[int], ands: list[int]):
+        """Number a whole cone, `Aig.cone`'s lists, on a fresh encoder: the
+        inputs from 1 up in label order, then the and-nodes by index.  Yields
+        each and-node's variable and fanin literals; emits no clause."""
+        nodes, var = self.aig.nodes, self.var
+        for i in ins:
+            var[i] = self.input_var[nodes[i][1]] = len(var) + 1
+        for i in ands:
+            _, a, b = nodes[i]
+            va, vb = var[a >> 1], var[b >> 1]
+            v = var[i] = len(var) + 1
+            yield v, -va if a & 1 else va, -vb if b & 1 else vb
+
 
 def cnf_from_aig(aig, root: int) -> Cnf:
-    """Encode the cone of `root` with one clause asserting it true.
-
-    Variable numbering is stable: cone inputs first, in label order (a
-    timed signal sorts by name, then step), then and-nodes by index.
-    """
+    """Encode the cone of `root`, numbered by `Tseitin.cone` (a timed input
+    sorts by name, then step), with one clause asserting it true."""
     if root >> 1 == 0:
         raise ValueError("constant root needs no CNF")
-    ins, ands = aig.cone([root])
-    clauses: list[tuple[int, ...]] = []
-    enc = Tseitin(aig, clauses.append)
-    for i in ins + ands:
-        enc.lit(2 * i)
+    enc, clauses = Tseitin(aig), []
+    for v, la, lb in enc.cone(*aig.cone([root])):
+        clauses += (-v, la), (-v, lb), (v, -la, -lb)
     clauses.append((enc.lit(root),))
     return Cnf(len(enc.var), clauses, enc.input_var)
+
+
+def cone_solver(aig, root: int, ins: list[int], ands: list[int]):
+    """`CdclSolver(cnf.num_vars, cnf.clauses)` and `cnf.input_vars` for
+    `cnf = cnf_from_aig(aig, root)`, from the root's cone (ins, ands): the
+    and-nodes' clauses skip `add_clause` but are stored as it would sort them."""
+    enc, solver = Tseitin(aig), CdclSolver(len(ins) + len(ands))
+    clauses, watches = solver.clauses, solver.watches
+    for v, la, lb in enc.cone(ins, ands):
+        ci = len(clauses)
+        x, y = (-la, -lb) if abs(la) < abs(lb) else (-lb, -la)
+        clauses += [la, -v], [lb, -v], [x, y, v]
+        watches.setdefault(la, []).append(ci)
+        watches[-v] = [ci, ci + 1]  # a fresh key: no earlier clause names v
+        watches.setdefault(lb, []).append(ci + 1)
+        watches.setdefault(x, []).append(ci + 2)
+        watches.setdefault(y, []).append(ci + 2)
+    solver.add_clause((enc.lit(root),))
+    return solver, enc.input_var
 
 
 def to_dimacs(cnf: Cnf) -> str:
@@ -198,15 +225,11 @@ class CdclSolver:
                     return v
         return 0
 
-    def _val(self, lit: int) -> int:
-        v = self.value[abs(lit)]
-        return v if lit > 0 else -v
-
     def _enqueue(self, lit: int, reason, lvl: int | None = None) -> None:
-        if self._val(lit) == 1:
+        v, val = (lit, 1) if lit > 0 else (-lit, -1)
+        if self.value[v] == val:
             return  # only an assumption can already be true
-        v = abs(lit)
-        self.value[v] = 1 if lit > 0 else -1
+        self.value[v] = val
         self.level[v] = len(self.trail_lim) if lvl is None else lvl
         self.reason[v] = reason
         self.phase[v] = lit > 0
@@ -436,7 +459,7 @@ class CdclSolver:
                     heapify(self.order)  # with every stale key dropped
             elif len(self.trail_lim) < len(assumptions):
                 lit = assumptions[len(self.trail_lim)]
-                if self._val(lit) == -1:
+                if (self.value[lit] if lit > 0 else -self.value[-lit]) == -1:
                     return "unsat", None
                 self.trail_lim.append(len(self.trail))  # a level even when already true
                 self._enqueue(lit, None)
