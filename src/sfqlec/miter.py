@@ -21,10 +21,10 @@ Counterexamples are built from, and evaluated on, the original graph.
 Counterexample models are canonicalized to the lexicographically smallest
 satisfying assignment (inputs ordered by name, then step, preferring 0), so
 witnesses do not depend on solver internals or on which pass found them.
-When the all-zero assignment does not set the root, one solver call finds
-it: its decisions set the cone inputs to 0 in that order before any other
-variable (`CdclSolver.solve`'s `lex`), on the sweep's solver when its
-final solve found the witness, else on a fresh one over the root's CNF.
+When the all-zero assignment does not set the root, one call on a fresh
+solver over its cone (`sat.cone_solver`) finds it: its decisions set the
+cone inputs to 0 in that order before any other variable (`lex`); for a
+final-solve witness the root is its fraig edge (`_Sweep.decide`).
 
 One `Budget` of conflicts and seconds covers every sweep call, the final
 solve of every root and the canonicalization call.  When it runs out
@@ -135,16 +135,13 @@ def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:
     return Miter(aig, root, outputs, matching, mcid)
 
 
-def _lex_min_model(
-    aig: Aig, root: int, model: dict, stats: VerdictStats, budget: Budget, sat=None
-) -> dict:
+def _lex_min_model(aig: Aig, root: int, model: dict, stats: VerdictStats, budget: Budget) -> dict:
     """The lexicographically smallest cone-input assignment that sets the
     root: all zeros when that sets it, else, for a cone within `_CANON_CAP`,
-    one solver call that decides the cone inputs in label order, each to 0
-    first (`CdclSolver.solve`'s `lex`).  `sat` is (solver, label ->
-    variable, assumptions asserting the root) when the decision already
-    has a solver; otherwise `sat.cone_solver` builds one from this cone.  A
-    call the budget stops, or a cone over the cap, keeps `model`, the witness.
+    one call on a fresh solver over the cone (`sat.cone_solver`) that
+    decides the cone inputs in label order, each to 0 first
+    (`CdclSolver.solve`'s `lex`).  A call the budget stops, or a cone over
+    the cap, keeps `model`, the witness.
     """
     ins, ands = aig.cone([root])
     labels = [aig.label(i) for i in ins]
@@ -155,10 +152,8 @@ def _lex_min_model(
     if len(ins) * max(1, len(ands)) > _CANON_CAP:
         stats.trace_canonical = "capped"
         return model
-    if sat is None:
-        sat = *cone_solver(aig, root, ins, ands), []
-    solver, var_of, base = sat
-    status, m = solver.solve(base, budget, lex=[var_of[lbl] for lbl in labels])
+    solver, var_of = cone_solver(aig, root, ins, ands)
+    status, m = solver.solve(budget=budget, lex=[var_of[lbl] for lbl in labels])
     stats.canon_sat_calls += 1
     if status == "unknown":
         stats.trace_canonical = "budget"
@@ -182,17 +177,18 @@ def _patterns(labels: list, seed) -> dict:
     return words
 
 
-def _settle(root: int, hit: int, words: dict, stats: VerdictStats):
-    """(equivalent, distinguishing model or None, None) when the root is
-    constant or simulation set it in some lane of `hit`; None when the
-    sweep decides.  The lowest set bit is the first round's lowest hit."""
+def _settle(aig: Aig, root: int, hit: int, words: dict, stats: VerdictStats):
+    """(equivalent, distinguishing model or None, (aig, root) to
+    canonicalize on) when the root is constant or simulation set it in some
+    lane of `hit`; None when the sweep decides.  The lowest set bit is the
+    first round's lowest hit."""
     if root >> 1 == 0:
         stats.method = "structural"
-        return (True, None, None) if root == FALSE else (False, {}, None)
+        return (True, None, None) if root == FALSE else (False, {}, (aig, root))
     if hit:
         bit = (hit & -hit).bit_length() - 1
         stats.method = "simulation"
-        return False, {lbl: (w >> bit) & 1 for lbl, w in words.items()}, None
+        return False, {lbl: (w >> bit) & 1 for lbl, w in words.items()}, (aig, root)
     return None
 
 
@@ -302,9 +298,12 @@ class _Sweep:
         ]
 
     def decide(self, root: int):
-        """(equivalent or None, distinguishing model or None, the solver
-        setup `_lex_min_model` takes) for a root: constant FALSE after the
-        sweep, or one solve of its fraig edge."""
+        """(equivalent or None, distinguishing model or None, (fraig, edge)
+        to canonicalize on) for a root: constant FALSE after the sweep, or
+        one solve of its fraig edge.  That edge equals the root as a
+        function, so the lex-min over its cone (which keeps the sweep's
+        merges), with the inputs outside it at 0, is the root's.  The model
+        covers the root's cone inputs, 0 where the solver has no variable."""
         e = self.edge[root >> 1] ^ (root & 1)
         if e == FALSE:
             self.stats.method = "sweep"
@@ -312,14 +311,13 @@ class _Sweep:
         self.stats.method = "sat"
         if self.budget.exhausted():
             return None, None, None
-        lit = self.enc.lit
-        status, model = self.solver.solve([lit(e)], self.budget)
+        status, model = self.solver.solve([self.enc.lit(e)], self.budget)
         if status != "sat":
             return (None if status == "unknown" else True), None, None
+        var_of = self.enc.input_var
         labels = map(self.aig.label, self.aig.cone([root])[0])
-        var_of = {lbl: lit(self.fraig.input_(lbl)) for lbl in labels}
-        model = {lbl: int(model.get(v, False)) for lbl, v in var_of.items()}
-        return False, model, (self.solver, var_of, [lit(e)])
+        model = {lbl: int(model.get(var_of.get(lbl), False)) for lbl in labels}
+        return False, model, (self.fraig, e)
 
 
 def check_equivalence(
@@ -346,24 +344,24 @@ def check_equivalence(
     words = _patterns([aig.label(i) for i in aig.cone(live)[0]], seed)
     sim = aig.evaluate(words, live, mask=(1 << _SIM_ROUNDS * _SIM_WIDTH) - 1) if live else []
     hit = dict(zip(live, sim))
-    found = {po: _settle(root, hit.get(root), words, stats) for po, root in roots.items()}
+    found = {po: _settle(aig, root, hit.get(root), words, stats) for po, root in roots.items()}
     open_roots = [root for po, root in roots.items() if found[po] is None]
     sweep = _Sweep(aig, open_roots, words, stats, budget) if open_roots else None
     per: dict[str, bool | None] = {}
     witness = None
     for po, root in roots.items():
-        equivalent, model, sat = found[po] or sweep.decide(root)
+        equivalent, model, cone = found[po] or sweep.decide(root)
         per[po] = equivalent
         if witness is None and equivalent is False:
-            witness = root, model, sat
+            witness = model, cone
     if sweep is not None:
         s = sweep.solver.stats
         stats.cnf_vars = sweep.solver.nv
         stats.decisions, stats.conflicts, stats.propagations = s.decisions, s.conflicts, s.propagations
 
     if witness is not None:
-        root, model, sat = witness
-        model = _lex_min_model(aig, root, model, stats, budget, sat)
+        model, (graph, edge) = witness
+        model = _lex_min_model(graph, edge, model, stats, budget)
         verdict = Verdict(False, extract_trace(miter, model), stats)
     elif any(v is None for v in per.values()):
         verdict = Verdict(None, None, stats)

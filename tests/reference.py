@@ -306,9 +306,10 @@ def simulation_witness(aig, root: int, seed, rounds: int = 8, width: int = 64):
     return None
 
 
-def lex_min_model(aig, root: int, model: dict, stats, budget, sat=None) -> dict:
+def lex_min_model(aig, root: int, model: dict, stats, budget) -> dict:
     """`miter._lex_min_model` with the fixed prefix assumed, one decision
-    level per literal, on every call."""
+    level per literal, on every call to one solver over the root's CNF,
+    built when first needed."""
     ins, ands = aig.cone([root])
     labels = [aig.label(i) for i in ins]
     zeros_set_it = aig.evaluate(dict.fromkeys(labels, 0), [root])[0]
@@ -316,6 +317,7 @@ def lex_min_model(aig, root: int, model: dict, stats, budget, sat=None) -> dict:
         stats.trace_canonical = "capped"
         return model
     cur = {lbl: model.get(lbl, 0) for lbl in labels}
+    sat = None
     for k, lbl in enumerate(labels):
         if not cur[lbl]:
             continue
@@ -325,10 +327,10 @@ def lex_min_model(aig, root: int, model: dict, stats, budget, sat=None) -> dict:
         cur[lbl] = 1
         if sat is None:
             cnf = cnf_from_aig(aig, root)
-            sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars, []
-        solver, var_of, base = sat
+            sat = CdclSolver(cnf.num_vars, cnf.clauses), cnf.input_vars
+        solver, var_of = sat
         prefix = [var_of[l] if cur[l] else -var_of[l] for l in labels[:k]]
-        status, m = solver.solve(base + prefix + [-var_of[lbl]], budget)
+        status, m = solver.solve(prefix + [-var_of[lbl]], budget)
         stats.canon_sat_calls += 1
         if status == "unknown":
             stats.trace_canonical = "budget"

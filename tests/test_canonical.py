@@ -92,10 +92,10 @@ def test_trace_is_the_brute_force_lex_min(monkeypatch):
         assert verdict.equivalent is False, seed
         assert verdict.trace == want, seed
         assert verdict.stats.trace_canonical == "yes", seed
-        # from the worst start, with no solver handed over
+        # from the worst start
         start = _lex_min_model(miter.aig, miter.root, models[-1], VerdictStats(), Budget())
         assert start == models[0], seed
-        # a witness found by the main solve is canonicalized on its solver
+        # a witness found by the final solve is canonicalized over its fraig edge's cone
         with monkeypatch.context() as m:
             m.setattr(miter_module, "_SIM_ROUNDS", 0)
             by_sat = check_equivalence(miter, seed=seed)
@@ -107,8 +107,9 @@ def test_trace_is_the_brute_force_lex_min(monkeypatch):
 def test_unit_prefix_matches_the_assumed_prefix(width, monkeypatch):
     """One lex-ordered solver call gives the per-bit greedy's trace,
     verdict and counters, but for at most one solver call: faulted
-    sfqify(ksN) against rippleN, canonicalized on the sweep's solver or on
-    a fresh one."""
+    sfqify(ksN) against rippleN, both canonicalizing over the graph and
+    edge the decision hands over (the miter and its root, or the fraig and
+    the root's edge there when the final solve found the witness)."""
     base, spec = sfqify(kogge_stone_adder(width)), ripple_adder(width)
     calls = 0
     for kind, seed in itertools.product(("swap-gate", "remove-dff"), range(12)):
@@ -244,6 +245,65 @@ def test_conflict_budget_bounds_canonicalization(faulted_ks16, conflict_log):
             assert verdict.trace == full.trace, k
         else:
             assert verdict.stats.trace_canonical == "budget", k
+
+
+def test_conflict_budget_bounds_final_solve_canonicalization(conflict_log):
+    """ks16 remove-dff seed 9 is decided by the final solve, and its lex
+    call needs conflicts of its own.  A budget that covers the decision
+    but not the lex call keeps the final solve's witness ("budget"); one
+    that covers both gives the unlimited trace."""
+    impl, golden = inject(sfqify(kogge_stone_adder(16)), "remove-dff", seed=9)[0], ripple_adder(16)
+    miter = make_miter(impl, golden)
+    full = check_equivalence(miter)
+    spent, lex = sum(conflict_log), conflict_log[-1]
+    decided = spent - lex
+    assert (full.stats.method, full.stats.trace_canonical, full.stats.canon_sat_calls) == ("sat", "yes", 1)
+    assert full.stats.conflicts == decided and lex > 10
+    conflict_log.clear()
+    assert check_equivalence(miter, max_conflicts=decided).equivalent is None
+    for k in (decided + 1, decided + 2, decided + lex // 2, spent - 1, spent, spent + 1, spent + 1000):
+        conflict_log.clear()
+        verdict = check_equivalence(miter, max_conflicts=k)
+        assert sum(conflict_log) == min(k, spent), k
+        assert (verdict.equivalent, verdict.stats.method) == (False, "sat"), k
+        assert replay_trace(impl, golden, verdict.trace, RSFQ), k
+        if k > spent:
+            assert verdict.stats.trace_canonical == "yes", k
+            assert verdict.trace == full.trace, k
+        else:
+            assert verdict.stats.trace_canonical == "budget", k
+            assert verdict.trace != full.trace, k
+
+
+@pytest.mark.parametrize(
+    "width, seeds", [(16, [0, 3, 4, 8, 9]), (32, [0, 3, 4, 5, 8, 11])], ids=["ks16", "ks32"]
+)
+def test_final_solve_traces_are_the_miters_own_lex_min(width, seeds, monkeypatch):
+    """The final solve decides these remove-dff faults of sfqify(ksN)
+    against rippleN (seeds 0-11).  Canonicalized over the root's fraig
+    edge, each trace is the one the lex-min over the miter's own cone gives
+    from the same witness."""
+    witnesses = []
+    lex_min = miter_module._lex_min_model
+
+    def recording(aig, root, model, *args):
+        witnesses.append(model)
+        return lex_min(aig, root, model, *args)
+
+    monkeypatch.setattr(miter_module, "_lex_min_model", recording)
+    base, spec = sfqify(kogge_stone_adder(width)), ripple_adder(width)
+    decided = []
+    for seed in range(12):
+        miter = make_miter(inject(base, "remove-dff", seed=seed)[0], spec)
+        witnesses.clear()
+        verdict = check_equivalence(miter)
+        if verdict.stats.method != "sat":
+            continue
+        decided.append(seed)
+        (witness,) = witnesses
+        model = _lex_min_model(miter.aig, miter.root, witness, VerdictStats(), Budget())
+        assert verdict.trace == extract_trace(miter, model), seed
+    assert decided == seeds
 
 
 def test_conflict_budget_spans_all_outputs(conflict_log):

@@ -169,6 +169,25 @@ def test_validation_rejects_bad_graphs():
         loop.order
 
 
+@pytest.mark.parametrize(
+    "pis, pos, gates, message",
+    [
+        (("a", "a"), ("y",), [("INV", ("a",), "y")], "duplicate primary input declaration"),
+        (("a",), ("y", "y"), [("INV", ("a",), "y")], "duplicate primary output declaration"),
+        (("a",), ("y",), [("INV", ("a",), "y"), ("BUF", ("a",), "y")], "net 'y' has two drivers"),
+        (("a",), ("y",), [("AND2", ("a",), "y")], "gate 'y': AND2 takes 2 inputs, got 1"),
+        (("a", "b"), ("b",), [("INV", ("a",), "b")], "net 'b' driven by a gate but declared INPUT"),
+    ],
+)
+def test_netlist_construction_validates_declarations_and_gates(pis, pos, gates, message):
+    """A `Netlist` built directly, not parsed, runs its own validation:
+    each bad declaration or gate raises with its own message."""
+    gates = tuple(Gate(get_kind(kind), ins, out) for kind, ins, out in gates)
+    with pytest.raises(NetlistError) as exc:
+        Netlist("bad", pis, pos, gates)
+    assert str(exc.value) == message
+
+
 def test_cycle_rejected_even_through_dff():
     # sequential loops are out of scope for this model: every net must be
     # a function of inputs only, so DFF feedback is rejected too
