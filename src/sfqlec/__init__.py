@@ -25,7 +25,7 @@ from .netlist import (
 )
 from .profiles import TechnologyProfile, builtin_profile, load_profile, resolve_profile
 from .sat import CdclSolver, Cnf, cnf_from_aig, to_dimacs
-from .sim import evaluate_golden, exhaustive_equivalence, parse_wave, replay_trace, simulate
+from .sim import evaluate_golden, parse_wave, replay_trace, simulate
 from .trace import TimedTrace
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "cnf_from_aig",
     "dependency_window",
     "evaluate_golden",
-    "exhaustive_equivalence",
     "extract_trace",
     "inject",
     "load_profile",

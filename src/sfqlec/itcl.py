@@ -38,7 +38,8 @@ class ArrivalSchedule:
         if not text:
             return cls(lateness)
         for part in text.split(","):
-            name, sep, val = part.strip().partition(":")
+            name, sep, val = part.partition(":")
+            name = name.strip()
             if not sep or not name:
                 raise ItclError(f"bad arrival entry {part.strip()!r}, expected name:cycles")
             try:

@@ -63,8 +63,9 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_.@-]*"
 _NAME_RE = re.compile(rf"^{_NAME}$")
 _IO_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$", re.IGNORECASE)
 _GATE_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z0-9_]+)\s*\((.*)\)$")
-# A whole, well-formed one- or two-input gate line, comment included.  A line
-# it rejects may still be valid; the checks below decide it.
+# A whole, well-formed one- or two-input gate line, comment included.  A gate
+# line it rejects is malformed or a second driver; the checks below say which.
+# A kind with three inputs would have to extend it.
 _GATE_LINE_RE = re.compile(
     rf"\s*({_NAME})\s*=\s*([A-Za-z0-9_]+)\s*\(\s*({_NAME})\s*(?:,\s*({_NAME})\s*)?\)\s*(?:#.*)?"
 )
@@ -173,7 +174,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
     gate_line, kind_of, new = _GATE_LINE_RE.fullmatch, KINDS.get, tuple.__new__
     for line_no, raw in enumerate(text.splitlines(), start=1):
         m = gate_line(raw)
-        if m:  # the common case; anything it does not settle goes the long way
+        if m:  # every valid gate line; the rest go the long way to their error
             out, kind_name, a, b = m.groups()
             kind = kind_of(kind_name) or kind_of(kind_name.upper())
             if kind is not None and kind.arity == (1 if b is None else 2) and out not in seen_outputs:
@@ -212,11 +213,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
                 raise BenchParseError(
                     line_no, f"{kind.name} takes {kind.arity} inputs, got {len(args)}"
                 )
-            if out in seen_outputs:
-                raise BenchParseError(line_no, f"net {out!r} has two drivers")
-            seen_outputs.add(out)
-            gates.append(Gate(kind, tuple(args), out))
-            continue
+            raise BenchParseError(line_no, f"net {out!r} has two drivers")
         raise BenchParseError(line_no, f"cannot parse {line!r}")
     return Netlist(name=name, primary_inputs=tuple(pis), primary_outputs=tuple(pos), gates=tuple(gates))
 

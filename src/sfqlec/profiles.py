@@ -78,6 +78,8 @@ class TechnologyProfile:
     requires_fanout_check: bool
 
     def validate(self) -> None:
+        if not self.name:
+            raise ProfileError("profile name must not be empty")
         if self.default_fanout_limit < 1:
             raise ProfileError("default_fanout_limit must be >= 1")
         if self.splitter_fanout_limit < 2:
@@ -180,18 +182,6 @@ def load_profile(text: str) -> TechnologyProfile:
     )
     profile.validate()
     return profile
-
-
-def write_profile(profile: TechnologyProfile) -> str:
-    kinds = ",".join(sorted(profile.non_clocked_kinds))
-    return (
-        f"name = {profile.name}\n"
-        f"default_fanout_limit = {profile.default_fanout_limit}\n"
-        f"splitter_fanout_limit = {profile.splitter_fanout_limit}\n"
-        f"non_clocked_kinds = {kinds}\n"
-        f"requires_path_balancing = {'true' if profile.requires_path_balancing else 'false'}\n"
-        f"requires_fanout_check = {'true' if profile.requires_fanout_check else 'false'}\n"
-    )
 
 
 def resolve_profile(spec: str) -> TechnologyProfile:

@@ -19,16 +19,19 @@ formula piece by piece as its calls need it.  A `Budget` bounds the
 conflicts and wall-clock time of a whole sequence of calls, across
 solvers, and `solve(..., max_conflicts=k)` caps one call inside it.
 `solve(..., lex=order)` decides the variables of `order` first, each to
-False, so its model is the lexicographically smallest over them.  Such a
-call backtracks chronologically (Nadel & Ryvchin, "Chronological
-Backtracking", SAT 2018): a conflict is analysed at the highest level in
-its clause and undoes only that level, so the `order` decisions it does
-not involve stay set instead of being made again.  Each literal carries
-its true level, the highest among the other literals of its reason (for a
-learned literal, its asserting level), so the trail is no longer in level
-order, and a backtrack to level k keeps, and propagates again, the
-literals of level k or below that sit above it.  Calls without `lex`
-backjump to the asserting level, and their trail stays in level order.
+False, so its model is the lexicographically smallest over them.
+
+Every call keeps each literal's true level, the highest among the other
+literals of its reason (for a learned literal, its asserting level), and
+analyses a conflict at the highest level in its clause; a backtrack to
+level k keeps, and propagates again, the literals of level k or below that
+sit above it.  Only the jump distance differs (Möhle & Biere, "Backing
+Backtracking", SAT 2019): a call without `lex` backjumps to the asserting
+level, so its trail stays in level order, each implied literal's true level
+is the current one, and the rules change nothing; a call with `lex` undoes
+only the conflict level (Nadel & Ryvchin, "Chronological Backtracking", SAT
+2018), so the `order` decisions it does not involve stay set instead of
+being made again, and its trail leaves level order.
 
 Decisions come from a `heapq` list of int keys `-activity << 32 | var`,
 so the smallest key is the highest activity, then the lowest index.
@@ -172,9 +175,9 @@ class CdclSolver:
 
     1-UIP learning, additive activity bumps with periodic halving, phase
     saving, decisions from a lazy `heapq` order keyed `-activity << 32 |
-    var` once a call's `lex` variables are set, and backjumping, or
-    chronological backtracking in a call with `lex`.  `stats` accumulates
-    over all calls.
+    var` once a call's `lex` variables are set, and backjumping over true
+    levels, one level at a time in a call with `lex`.
+    `stats` accumulates over all calls.
     """
 
     def __init__(self, num_vars: int = 0, clauses=()):
@@ -274,10 +277,10 @@ class CdclSolver:
         else:
             self._attach(lits)
 
-    def _propagate(self, chrono: bool = False):
+    def _propagate(self):
         """Propagate the queued trail literals; the index of a clause found
-        false, else None.  With `chrono` an implied literal takes its true
-        level, the highest among the other literals of its reason."""
+        false, else None.  An implied literal takes its true level, the
+        highest among the other literals of its reason."""
         value, clauses, watches, trail = self.value, self.clauses, self.watches, self.trail
         level, reason, phase = self.level, self.reason, self.phase
         lvl = len(self.trail_lim)
@@ -289,6 +292,7 @@ class CdclSolver:
             ws = watches.get(neg)
             if not ws:
                 continue
+            low = level[lit if lit > 0 else neg] < lvl  # it may imply below `lvl` too
             i = j = 0
             n = len(ws)
             while i < n:
@@ -323,9 +327,7 @@ class CdclSolver:
                         v, value[first], phase[first] = first, 1, True
                     else:
                         v, value[-first], phase[-first] = -first, -1, False
-                    level[v] = lvl
-                    if chrono and level[lit if lit > 0 else neg] < lvl:
-                        level[v] = max(level[abs(q)] for q in c[1:])
+                    level[v] = max(level[abs(q)] for q in c[1:]) if low else lvl
                     reason[v] = ci
                     trail.append(first)
             del ws[j:]
@@ -376,16 +378,16 @@ class CdclSolver:
         learnt[1], learnt[k] = learnt[k], learnt[1]
         return learnt, level[abs(learnt[1])]
 
-    def _backtrack(self, lvl: int, chrono: bool = False) -> None:
-        """Undo the levels above `lvl`.  With `chrono` a literal of level
-        `lvl` or below that sits above them stays set, and is queued to be
-        propagated again."""
+    def _backtrack(self, lvl: int) -> None:
+        """Undo the levels above `lvl`.  A literal of level `lvl` or below
+        that sits above them stays set, and is queued to be propagated
+        again."""
         trail, value, level, queued = self.trail, self.value, self.level, self.queued
         lim = self.trail_lim[lvl]
         kept = []
         for lit in trail[lim:]:  # `reason` is read only for set variables
             v = lit if lit > 0 else -lit
-            if chrono and level[v] <= lvl:
+            if level[v] <= lvl:
                 kept.append(lit)
                 continue
             value[v] = 0
@@ -411,7 +413,7 @@ class CdclSolver:
         is then the lexicographically smallest over `lex` (False first)
         that extends the assumptions: a `lex` variable set True is implied
         by the assumptions and the decisions at or below its level (its
-        true level, under chronological backtracking too).  Each of those
+        true level, however far the call backtracks).  Each of those
         decisions was made while the variable was free, so it set an
         earlier `lex` variable False; every model that agrees with this one
         on the earlier variables therefore sets it True.
@@ -427,21 +429,17 @@ class CdclSolver:
         limit = None if max_conflicts is None else self.stats.conflicts + max_conflicts
         result = self._search(assumptions, budget, limit, lex)
         if self.trail_lim:
-            self._backtrack(0, bool(lex))
+            self._backtrack(0)
         return result
 
     def _search(self, assumptions: list[int], budget: Budget, limit: int | None, lex: list[int]):
         li = 0  # lex[:li] are set
-        chrono = bool(lex)
         while True:
-            confl = self._propagate(chrono)
+            confl = self._propagate()
             if confl is not None:
                 self.stats.conflicts += 1
                 budget.conflicts += 1
-                if chrono:
-                    top = max(self.level[abs(q)] for q in self.clauses[confl])
-                else:
-                    top = len(self.trail_lim)
+                top = max(self.level[abs(q)] for q in self.clauses[confl])
                 if top == 0:
                     self.ok = False
                     return "unsat", None
@@ -449,7 +447,7 @@ class CdclSolver:
                     return "unknown", None
                 learnt, lvl = self._analyze(confl, top)
                 # a lex call undoes only the conflict level, whatever `lvl` is
-                self._backtrack(top - 1 if chrono else lvl, chrono)
+                self._backtrack(top - 1 if lex else lvl)
                 li = 0
                 self._enqueue(learnt[0], None if len(learnt) == 1 else self._attach(learnt), lvl)
                 self.stats.learned += 1

@@ -1,25 +1,19 @@
-"""Cycle-accurate simulation and a brute-force equivalence oracle.
+"""Cycle-accurate simulation and the trace-replay oracle.
 
-Both run one synchronous recurrence: a clocked gate's output at cycle t+1
+All three run one synchronous recurrence: a clocked gate's output at cycle t+1
 is its function applied to cycle-t inputs (all state starts at 0), a
 transparent gate settles within the cycle, and an input that arrives k
 cycles late reads at cycle t the wave fed at cycle t-k.  simulate() feeds
 it single-bit waves; evaluate_golden() feeds a specification one wave;
 replay_trace() re-runs a counterexample trace against the netlist, under
 the trace's arrival schedule, to confirm it is real.
-
-exhaustive_equivalence() enumerates every assignment of the model's full
-input grid (one variable per primary input per window step) in one
-bit-parallel pass, using wide ints as 2^bits parallel simulation lanes,
-and returns its counterexample as the same TimedTrace the miter gives.
 """
 
 from .errors import SfqlecError
-from .itcl import ArrivalSchedule, apply_itcl, match_inputs
-from .mcid import TimedSignal, build_mcid
+from .itcl import ArrivalSchedule
 from .netlist import Netlist, circuit_depth, first_pipeline_cell
 from .profiles import RSFQ, Bits, TechnologyProfile, builtin_profile
-from .trace import TimedTrace, format_wave  # format_wave stays importable from here
+from .trace import TimedTrace
 
 
 class SimError(SfqlecError):
@@ -111,47 +105,3 @@ def replay_trace(
         return False
     gold = evaluate_golden(golden, trace.golden_assignment)
     return gold[trace.output_name] == trace.golden_output
-
-
-def exhaustive_equivalence(
-    netlist: Netlist,
-    golden: Netlist,
-    profile: TechnologyProfile = RSFQ,
-    schedule: ArrivalSchedule = ArrivalSchedule(),
-    max_bits: int = 24,
-) -> TimedTrace | None:
-    """Check every grid assignment at once; only viable for small windows.
-    Returns a counterexample trace, or None when the two are equivalent.
-
-    The grid covers all (primary input, window step) cells, including cells
-    the model never samples; those are don't-cares on both sides, so the
-    verdict matches the miter's and the trace keeps only sampled pins.
-    """
-    mcid = apply_itcl(build_mcid(netlist, profile), schedule)
-    matching = match_inputs(mcid, list(golden.primary_inputs))
-    earliest, latest = mcid.window
-    steps = range(earliest, latest + 1)
-    cells = [TimedSignal(pi, s) for pi in netlist.primary_inputs for s in steps]
-    bits = len(cells)
-    if bits > max_bits:
-        raise SimError(f"input grid needs {bits} bits, limit is {max_bits}")
-    n = 1 << bits
-    mask = (1 << n) - 1
-    grid: dict[TimedSignal, int] = {}
-    for j, cell in enumerate(cells):
-        h = 1 << j
-        grid[cell] = (((1 << n) - 1) // ((1 << h) + 1)) << h
-
-    waves = [{c.net: v for c, v in grid.items() if c.step == s} for s in range(earliest, 1)]
-    for cur in _cycles(netlist, waves, profile, mask, schedule.shifts(mcid.source_pis)):
-        pass
-
-    gold = evaluate_golden(golden, {pi: grid[sig] for pi, sig in matching.matched.items()}, mask)
-    for po in golden.primary_outputs:
-        diff = cur[po] ^ gold[po]
-        if diff:
-            b = (diff & -diff).bit_length() - 1
-            model = {cell: (b >> j) & 1 for j, cell in enumerate(cells)}
-            outs = (cur[po] >> b) & 1, (gold[po] >> b) & 1
-            return TimedTrace.from_model(mcid, matching, model, po, outs)
-    return None

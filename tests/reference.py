@@ -18,6 +18,13 @@ statistics (but the solver calls) from the one lex-ordered solver call
 that replaced it.  `extract_trace` is the trace builder as it simulated the
 graph once per output until one differed; tests/test_canonical.py
 requires the same trace from one simulation of every output.
+
+`exhaustive_equivalence` is a brute-force equivalence oracle: it
+enumerates every assignment of the model's full input grid (one variable
+per primary input per window step) in one bit-parallel pass, using wide
+ints as 2^bits parallel simulation lanes, and returns its counterexample
+as the same TimedTrace the miter gives.  `write_profile` writes a profile
+in the key = value format `load_profile` reads.
 """
 
 import heapq
@@ -34,11 +41,12 @@ from sfqlec.checks import (
     CheckReport,
     Violation,
 )
-from sfqlec.itcl import match_inputs
-from sfqlec.mcid import MCIDCircuit, TimedSignal
-from sfqlec.netlist import BenchParseError, Gate, NetlistError, get_kind
-from sfqlec.profiles import KINDS
+from sfqlec.itcl import ArrivalSchedule, apply_itcl, match_inputs
+from sfqlec.mcid import MCIDCircuit, TimedSignal, build_mcid
+from sfqlec.netlist import BenchParseError, Gate, Netlist, NetlistError, get_kind
+from sfqlec.profiles import KINDS, RSFQ, TechnologyProfile
 from sfqlec.sat import CdclSolver, cnf_from_aig
+from sfqlec.sim import SimError, _cycles, evaluate_golden
 from sfqlec.trace import TimedTrace
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.@-]*"
@@ -350,3 +358,59 @@ def extract_trace(miter_, model: dict):
         if iv != gv:
             return TimedTrace.from_model(miter_.mcid, miter_.matching, model, po, (iv, gv))
     raise miter.MiterError("assignment does not distinguish the two sides")
+
+
+def exhaustive_equivalence(
+    netlist: Netlist,
+    golden: Netlist,
+    profile: TechnologyProfile = RSFQ,
+    schedule: ArrivalSchedule = ArrivalSchedule(),
+    max_bits: int = 24,
+) -> TimedTrace | None:
+    """Check every grid assignment at once; only viable for small windows.
+    Returns a counterexample trace, or None when the two are equivalent.
+
+    The grid covers all (primary input, window step) cells, including cells
+    the model never samples; those are don't-cares on both sides, so the
+    verdict matches the miter's and the trace keeps only sampled pins.
+    """
+    mcid = apply_itcl(build_mcid(netlist, profile), schedule)
+    matching = match_inputs(mcid, list(golden.primary_inputs))
+    earliest, latest = mcid.window
+    steps = range(earliest, latest + 1)
+    cells = [TimedSignal(pi, s) for pi in netlist.primary_inputs for s in steps]
+    bits = len(cells)
+    if bits > max_bits:
+        raise SimError(f"input grid needs {bits} bits, limit is {max_bits}")
+    n = 1 << bits
+    mask = (1 << n) - 1
+    grid: dict[TimedSignal, int] = {}
+    for j, cell in enumerate(cells):
+        h = 1 << j
+        grid[cell] = (((1 << n) - 1) // ((1 << h) + 1)) << h
+
+    waves = [{c.net: v for c, v in grid.items() if c.step == s} for s in range(earliest, 1)]
+    for cur in _cycles(netlist, waves, profile, mask, schedule.shifts(mcid.source_pis)):
+        pass
+
+    gold = evaluate_golden(golden, {pi: grid[sig] for pi, sig in matching.matched.items()}, mask)
+    for po in golden.primary_outputs:
+        diff = cur[po] ^ gold[po]
+        if diff:
+            b = (diff & -diff).bit_length() - 1
+            model = {cell: (b >> j) & 1 for j, cell in enumerate(cells)}
+            outs = (cur[po] >> b) & 1, (gold[po] >> b) & 1
+            return TimedTrace.from_model(mcid, matching, model, po, outs)
+    return None
+
+
+def write_profile(profile: TechnologyProfile) -> str:
+    kinds = ",".join(sorted(profile.non_clocked_kinds))
+    return (
+        f"name = {profile.name}\n"
+        f"default_fanout_limit = {profile.default_fanout_limit}\n"
+        f"splitter_fanout_limit = {profile.splitter_fanout_limit}\n"
+        f"non_clocked_kinds = {kinds}\n"
+        f"requires_path_balancing = {'true' if profile.requires_path_balancing else 'false'}\n"
+        f"requires_fanout_check = {'true' if profile.requires_fanout_check else 'false'}\n"
+    )

@@ -11,13 +11,13 @@ import time
 from circuits import LATE_D_BENCH, LATE_D_GOLDEN_BENCH, SPLIT_DEEP_CONE_BENCH
 
 import gen
+from reference import exhaustive_equivalence
 from sfqlec import (
     ArrivalSchedule,
     build_mcid,
     builtin_profile,
     check_path_balance,
     evaluate_golden,
-    exhaustive_equivalence,
     inject,
     mcid_size_upper_bound,
     parse_netlist,

@@ -14,6 +14,7 @@ import random
 import re
 
 import circuits
+from reference import write_profile
 from sfqlec import (
     FAULT_KINDS,
     ArrivalSchedule,
@@ -24,7 +25,6 @@ from sfqlec import (
 )
 from sfqlec.cli import main
 from sfqlec.errors import SfqlecError
-from sfqlec.profiles import write_profile
 
 SEEDS = 160
 NETLISTS = [

@@ -33,6 +33,14 @@ def test_schedule_parse_rejects_garbage():
             ArrivalSchedule.parse(text)
 
 
+def test_schedule_parse_strips_names():
+    for text in ("a :1", " a : 1 ", "a: 1"):
+        assert ArrivalSchedule.parse(text).lateness == {"a": 1}
+    ArrivalSchedule.parse("a :1, b\t:2").validate(("a", "b"))
+    with pytest.raises(ItclError, match="bad arrival entry"):
+        ArrivalSchedule.parse(" :1")
+
+
 def test_schedule_validate():
     pis = ("a", "b")
     ArrivalSchedule.parse("a:2,b:1").validate(pis)

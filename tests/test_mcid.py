@@ -29,7 +29,8 @@ def names(mcid):
 
 
 def test_every_kind_takes_one_or_two_inputs():
-    # build_mcid reads a gate's fanins by arity: a wider kind needs a new case there
+    # build_mcid reads a gate's fanins by arity, and parse_netlist's one-line
+    # _GATE_LINE_RE matches one or two: a wider kind must extend both
     assert {k.arity for k in KINDS.values()} == {1, 2}
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import reference
+from reference import exhaustive_equivalence
 from circuits import (
     late_d_golden,
     late_d_netlist,
@@ -29,14 +30,14 @@ from sfqlec import (
     build_miter,
     builtin_profile,
     check_equivalence,
-    exhaustive_equivalence,
+    extract_trace,
     inject,
     parse_netlist,
     replay_trace,
     verify,
 )
 from sfqlec import miter as miter_module
-from sfqlec.aig import FALSE, TRUE
+from sfqlec.aig import FALSE, TRUE, Aig
 from sfqlec.itcl import ItclError
 from sfqlec.miter import MiterError, VerdictStats, _lex_min_model
 from sfqlec.sat import Budget
@@ -329,3 +330,19 @@ def test_dropping_a_run_leaves_no_cyclic_garbage():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_an_unsatisfiable_witness_root_is_an_internal_error():
+    # a & (~a & b) is no constant to the AIG's hashing, but no model sets it
+    aig = Aig()
+    a, b = aig.input_("a"), aig.input_("b")
+    root = aig.and_(a, aig.and_(aig.not_(a), b))
+    with pytest.raises(MiterError, match="the witness's root is unsatisfiable"):
+        _lex_min_model(aig, root, {"a": 1, "b": 1}, VerdictStats(), Budget())
+
+
+def test_a_model_of_an_equivalent_miter_is_an_internal_error():
+    run = verify(split_reconverge_netlist(), split_reconverge_golden_reduced())
+    assert run.verdict.equivalent is True
+    with pytest.raises(MiterError, match="assignment does not distinguish the two sides"):
+        extract_trace(run.miter, {})

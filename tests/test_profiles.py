@@ -1,7 +1,8 @@
 import pytest
 
+from reference import write_profile
 from sfqlec import builtin_profile, load_profile, resolve_profile
-from sfqlec.profiles import ProfileError, write_profile
+from sfqlec.profiles import ProfileError
 
 
 def test_rsfq_profile_shape():
@@ -75,6 +76,13 @@ def test_load_profile_validates_limits():
         load_profile(good.replace("default_fanout_limit = 1", "default_fanout_limit = 0"))
     with pytest.raises(ProfileError):
         load_profile(good.replace("splitter_fanout_limit = 2", "splitter_fanout_limit = 1"))
+
+
+def test_load_profile_rejects_an_empty_name():
+    good = write_profile(builtin_profile("rsfq"))
+    for name in ("name =", "name =   ", "name = # none"):
+        with pytest.raises(ProfileError, match="profile name must not be empty"):
+            load_profile(good.replace("name = rsfq", name))
 
 
 def test_resolve_profile_by_name_and_path(tmp_path):

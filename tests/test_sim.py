@@ -4,19 +4,19 @@ import pytest
 
 from circuits import late_d_golden, late_d_netlist
 from gen import eval_comb, random_comb, sfqify
+from reference import exhaustive_equivalence
 from sfqlec import (
     ArrivalSchedule,
     builtin_profile,
     evaluate_golden,
-    exhaustive_equivalence,
     parse_netlist,
     parse_wave,
     simulate,
     replay_trace,
 )
 from sfqlec.netlist import circuit_depth
-from sfqlec.sim import SimError, format_wave
-from sfqlec.trace import TimedTrace
+from sfqlec.sim import SimError
+from sfqlec.trace import TimedTrace, format_wave
 
 RSFQ = builtin_profile("rsfq")
 
