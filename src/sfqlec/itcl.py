@@ -32,7 +32,7 @@ class ArrivalSchedule:
 
     @classmethod
     def parse(cls, text: str) -> "ArrivalSchedule":
-        """Parse 'a:0,b:2,d:1'.  Unlisted inputs default to 0."""
+        """Parse 'a:0,b:2,d:1' (ASCII digits, no `_`).  Unlisted inputs default to 0."""
         lateness: dict[str, int] = {}
         text = text.strip()
         if not text:
@@ -40,7 +40,7 @@ class ArrivalSchedule:
         for part in text.split(","):
             name, sep, val = part.partition(":")
             name = name.strip()
-            if not sep or not name:
+            if not sep or not name or not val.isascii() or "_" in val:
                 raise ItclError(f"bad arrival entry {part.strip()!r}, expected name:cycles")
             try:
                 cycles = int(val)

@@ -160,6 +160,8 @@ def load_profile(text: str) -> TechnologyProfile:
 
     def as_int(key: str) -> int:
         try:
+            if not values[key].isascii() or "_" in values[key]:  # no 1_000, no other script's digits
+                raise ValueError(values[key])
             return int(values[key])
         except ValueError:
             raise ProfileError(f"profile key {key} must be an integer") from None

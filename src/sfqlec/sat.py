@@ -119,18 +119,18 @@ def cnf_from_aig(aig, root: int) -> Cnf:
 def cone_solver(aig, root: int, ins: list[int], ands: list[int]):
     """`CdclSolver(cnf.num_vars, cnf.clauses)` and `cnf.input_vars` for
     `cnf = cnf_from_aig(aig, root)`, from the root's cone (ins, ands): the
-    and-nodes' clauses skip `add_clause` but are stored as it would sort them."""
+    and-nodes' clauses skip `add_clause` but are stored and watched as it would."""
     enc, solver = Tseitin(aig), CdclSolver(len(ins) + len(ands))
     clauses, watches = solver.clauses, solver.watches
     for v, la, lb in enc.cone(ins, ands):
-        ci = len(clauses)
         x, y = (-la, -lb) if abs(la) < abs(lb) else (-lb, -la)
-        clauses += [la, -v], [lb, -v], [x, y, v]
-        watches.setdefault(la, []).append(ci)
-        watches[-v] = [ci, ci + 1]  # a fresh key: no earlier clause names v
-        watches.setdefault(lb, []).append(ci + 1)
-        watches.setdefault(x, []).append(ci + 2)
-        watches.setdefault(y, []).append(ci + 2)
+        ca, cb, cc = [la, -v], [lb, -v], [x, y, v]
+        clauses += ca, cb, cc
+        watches.setdefault(la, []).append(ca)
+        watches[-v] = [ca, cb]  # a fresh key: no earlier clause names v
+        watches.setdefault(lb, []).append(cb)
+        watches.setdefault(x, []).append(cc)
+        watches.setdefault(y, []).append(cc)
     solver.add_clause((enc.lit(root),))
     return solver, enc.input_var
 
@@ -184,7 +184,7 @@ class CdclSolver:
         self.nv = 0
         self.stats = SolverStats()
         self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
+        self.watches: dict[int, list[list[int]]] = {}  # literal -> clauses
         self.value = [0]  # 0 free, 1 true, -1 false
         self.level = [0]
         self.reason: list = [None]
@@ -219,14 +219,13 @@ class CdclSolver:
         if len(self.trail) == self.nv:
             return 0
         order, activity, queued, value = self.order, self.activity, self.queued, self.value
-        while order:
+        while True:  # every free variable has a live key, so a pop reaches one
             key = heappop(order)
             v = key & 0xFFFFFFFF
             if queued[v] and key >> 32 == -activity[v]:
                 queued[v] = False
                 if value[v] == 0:
                     return v
-        return 0
 
     def _enqueue(self, lit: int, reason, lvl: int | None = None) -> None:
         v, val = (lit, 1) if lit > 0 else (-lit, -1)
@@ -238,13 +237,12 @@ class CdclSolver:
         self.phase[v] = lit > 0
         self.trail.append(lit)
 
-    def _attach(self, lits: list[int]) -> int:
-        """Store a clause of two or more literals, watching its first two."""
-        ci = len(self.clauses)
+    def _attach(self, lits: list[int]) -> list[int]:
+        """Store and return a clause of two or more literals, watched by its first two."""
         self.clauses.append(lits)
-        self.watches.setdefault(lits[0], []).append(ci)
-        self.watches.setdefault(lits[1], []).append(ci)
-        return ci
+        self.watches.setdefault(lits[0], []).append(lits)
+        self.watches.setdefault(lits[1], []).append(lits)
+        return lits
 
     def add_clause(self, lits) -> None:
         """Add a clause at decision level 0, that is, between calls.
@@ -278,10 +276,10 @@ class CdclSolver:
             self._attach(lits)
 
     def _propagate(self):
-        """Propagate the queued trail literals; the index of a clause found
-        false, else None.  An implied literal takes its true level, the
-        highest among the other literals of its reason."""
-        value, clauses, watches, trail = self.value, self.clauses, self.watches, self.trail
+        """Propagate the queued trail literals; the clause found false, else
+        None.  An implied literal takes its true level, the highest among
+        the other literals of its reason."""
+        value, watches, trail = self.value, self.watches, self.trail
         level, reason, phase = self.level, self.reason, self.phase
         lvl = len(self.trail_lim)
         qhead = start = self.qhead
@@ -296,15 +294,14 @@ class CdclSolver:
             i = j = 0
             n = len(ws)
             while i < n:
-                ci = ws[i]
+                c = ws[i]
                 i += 1
-                c = clauses[ci]
                 if c[0] == neg:
                     c[0], c[1] = c[1], c[0]
                 first = c[0]
                 fv = value[first] if first > 0 else -value[-first]
                 if fv == 1:
-                    ws[j] = ci
+                    ws[j] = c
                     j += 1
                     continue
                 k, m = 2, len(c)
@@ -312,30 +309,30 @@ class CdclSolver:
                     q = c[k]
                     if (value[q] if q > 0 else -value[-q]) != -1:
                         c[1], c[k] = q, c[1]
-                        watches.setdefault(q, []).append(ci)
+                        watches.setdefault(q, []).append(c)
                         break
                     k += 1
                 else:
-                    ws[j] = ci
+                    ws[j] = c
                     j += 1
                     if fv == -1:
                         ws[j:] = ws[i:]
                         self.qhead = qhead
                         self.stats.propagations += qhead - start
-                        return ci
+                        return c
                     if first > 0:
                         v, value[first], phase[first] = first, 1, True
                     else:
                         v, value[-first], phase[-first] = -first, -1, False
                     level[v] = max(level[abs(q)] for q in c[1:]) if low else lvl
-                    reason[v] = ci
+                    reason[v] = c
                     trail.append(first)
             del ws[j:]
         self.qhead = qhead
         self.stats.propagations += qhead - start
         return None
 
-    def _analyze(self, confl: int, cur: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int], cur: int) -> tuple[list[int], int]:
         """1-UIP learning at level `cur`, the highest in the conflict
         clause, which in a lex call may be below the current level: the
         learned clause, UIP first, and its asserting level."""
@@ -347,8 +344,7 @@ class CdclSolver:
         p = None
         idx = len(trail) - 1
         while True:
-            c = self.clauses[confl]
-            for q in (c if p is None else c[1:]):
+            for q in (confl if p is None else confl[1:]):
                 v = abs(q)
                 if v not in seen and level[v] > 0:
                     seen.add(v)
@@ -439,7 +435,7 @@ class CdclSolver:
             if confl is not None:
                 self.stats.conflicts += 1
                 budget.conflicts += 1
-                top = max(self.level[abs(q)] for q in self.clauses[confl])
+                top = max(self.level[abs(q)] for q in confl)
                 if top == 0:
                     self.ok = False
                     return "unsat", None

@@ -12,8 +12,8 @@ from circuits import (
     SPLIT_RECONVERGE_BENCH,
     split_reconverge_golden,
 )
-from gen import late_b_ripple16
-from sfqlec import builtin_profile, check_path_balance, parse_netlist, write_netlist
+from gen import kogge_stone_adder, late_b_ripple16, ripple_adder, sfqify
+from sfqlec import builtin_profile, check_path_balance, inject, parse_netlist, write_netlist
 from sfqlec.cli import main
 from sfqlec.itcl import MAX_LATENESS
 
@@ -551,3 +551,20 @@ def test_the_package_runs_as_a_module_from_a_checkout():
     )
     assert done.returncode == 0, done.stderr
     assert "verify" in done.stdout
+
+
+def test_the_module_verifies_as_cli_main_does(work, capsys):
+    """`python -m sfqlec verify` on a faulted adder pair: the exit code and
+    stdout of `cli.main` in process."""
+    impl = inject(sfqify(kogge_stone_adder(8)), "swap-gate", seed=0)[0]
+    (work / "ks8.bench").write_text(write_netlist(impl))
+    (work / "ripple8.bench").write_text(write_netlist(ripple_adder(8)))
+    argv = ["verify", str(work / "ks8.bench"), str(work / "ripple8.bench")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "verdict inequivalent" in out and "CYCLE 0:" in out
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "sfqlec", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (code, out), done.stderr

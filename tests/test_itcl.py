@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from circuits import late_d_netlist
@@ -39,6 +41,16 @@ def test_schedule_parse_strips_names():
     ArrivalSchedule.parse("a :1, b\t:2").validate(("a", "b"))
     with pytest.raises(ItclError, match="bad arrival entry"):
         ArrivalSchedule.parse(" :1")
+
+
+def test_schedule_parse_takes_only_ascii_decimal_digits():
+    # `int()` alone reads 1_0 as 10 and an Arabic-Indic one as 1
+    for text in ("a:1_0", "a:\u0661", "a:1.0", "a:+-1", "a:0x1", "a:" + "9" * 5000):
+        with pytest.raises(ItclError, match=re.escape(f"bad arrival entry {text!r}, expected name:cycles")):
+            ArrivalSchedule.parse(text)
+    assert ArrivalSchedule.parse("a: +1,b:-1").lateness == {"a": 1, "b": -1}
+    with pytest.raises(ItclError, match=re.escape("arrival of b is negative (-1)")):
+        ArrivalSchedule.parse("a: 1,b:-1").validate(("a", "b"))
 
 
 def test_schedule_validate():

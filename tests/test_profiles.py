@@ -78,6 +78,17 @@ def test_load_profile_validates_limits():
         load_profile(good.replace("splitter_fanout_limit = 2", "splitter_fanout_limit = 1"))
 
 
+def test_load_profile_takes_only_ascii_decimal_digits():
+    # `int()` alone reads 1_000 as 1000 and an Arabic-Indic one as 1
+    good = write_profile(builtin_profile("rsfq"))
+    for val in ("1_000", "\u0661", "1.0", "+-1", "0x1", "9" * 5000):
+        with pytest.raises(ProfileError, match="profile key default_fanout_limit must be an integer"):
+            load_profile(good.replace("default_fanout_limit = 1", f"default_fanout_limit = {val}"))
+    assert load_profile(good.replace("default_fanout_limit = 1", "default_fanout_limit = +3")).default_fanout_limit == 3
+    with pytest.raises(ProfileError, match="default_fanout_limit must be >= 1"):
+        load_profile(good.replace("default_fanout_limit = 1", "default_fanout_limit = -1"))
+
+
 def test_load_profile_rejects_an_empty_name():
     good = write_profile(builtin_profile("rsfq"))
     for name in ("name =", "name =   ", "name = # none"):

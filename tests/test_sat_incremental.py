@@ -5,11 +5,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import astuple
 
 import reference
 from gen import kogge_stone_adder, ripple_adder, sfqify
-from sfqlec import build_mcid, build_miter, builtin_profile, inject
+from sfqlec import build_mcid, build_miter, builtin_profile, inject, verify
 from sfqlec.miter import VerdictStats
 from sfqlec.sat import Budget, CdclSolver, SolverStats, Tseitin, cnf_from_aig
 
@@ -420,3 +421,36 @@ def test_search_path_is_pinned():
     assert calls == "99edd383efe2fc44d504338a494462f755889782e8dc2a075ea8ff078e500161"
     assert stats == SolverStats(decisions=735, conflicts=563, propagations=6962, learned=495)
     assert clauses == "a1c4dd95fd44685699533617ef4701f85fb8d4d21bf97dfd41415273bd7b5df0"
+
+
+def assert_clauses_held_by_reference(solver):
+    """Every watch-list entry and every reason is one of `solver.clauses`
+    itself, and each clause is watched once by each of its first two
+    literals."""
+    ids = {id(c) for c in solver.clauses}
+    assert all(id(r) in ids for r in solver.reason if r is not None)
+    watched = Counter()
+    for lit, ws in solver.watches.items():
+        for c in ws:
+            assert id(c) in ids and lit in c[:2]
+            watched[id(c)] += 1
+    assert watched == dict.fromkeys(ids, 2)
+
+
+def test_watches_and_reasons_hold_the_clauses_themselves(monkeypatch):
+    made, init = [], CdclSolver.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(CdclSolver, "__init__", record)
+    ks16 = sfqify(kogge_stone_adder(16))
+    assert verify(ks16, ripple_adder(16)).verdict.stats.method == "sweep"
+    faulted = inject(ks16, "swap-gate", seed=0)[0]
+    assert verify(faulted, ripple_adder(16)).verdict.stats.method == "simulation"
+    # the sweep's solver, then the fault's fresh cone solver after its lex call
+    assert len(made) == 2 and all(s.stats.learned > 0 for s in made)
+    for solver in made:
+        assert any(r is not None for r in solver.reason)
+        assert_clauses_held_by_reference(solver)
