@@ -16,7 +16,7 @@ import sys
 import time
 
 from .checks import check_fanout, check_path_balance
-from .errors import SfqlecError
+from .errors import SfqlecError, parse_number
 from .faults import FAULT_KINDS, inject
 from .itcl import MAX_LATENESS, ArrivalSchedule, apply_itcl
 from .mcid import build_mcid
@@ -116,10 +116,7 @@ def cmd_verify(args) -> int:
 
     miter, verdict = run.miter, run.verdict
     if args.cnf:
-        if miter.root >> 1 == 0:
-            _write(args.cnf, "p cnf 0 0\n" if miter.root == 0 else "p cnf 0 1\n0\n")
-        else:
-            _write(args.cnf, to_dimacs(cnf_from_aig(miter.aig, miter.root)))
+        _write(args.cnf, to_dimacs(cnf_from_aig(miter.aig, miter.root)))
 
     lo, hi = miter.mcid.window
     word = VERDICT_WORDS[verdict.equivalent]
@@ -193,12 +190,12 @@ def cmd_simulate(args) -> int:
     return EXIT_EQUIVALENT
 
 
-def _at_least_zero(convert):
-    """An argparse type: `convert` the text, then refuse negatives and NaN."""
+def _number(convert, at_least_zero=False):
+    """An argparse type by `parse_number`'s rule; `at_least_zero` refuses negatives and NaN."""
 
     def parse(text):
-        value = convert(text)
-        if not value >= 0:
+        value = parse_number(text, convert)
+        if at_least_zero and not value >= 0:
             raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
         return value
 
@@ -237,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrivals", default=None, help="arrival schedule, e.g. 'a:0,d:1'")
     p.add_argument("--po-only-balance", action="store_true")
     p.add_argument("--per-output", action="store_true")
-    p.add_argument("--seed", type=int, default=0, help="simulation pre-pass seed")
-    p.add_argument("--max-conflicts", type=_at_least_zero(int), default=None)
-    p.add_argument("--max-seconds", type=_at_least_zero(float), default=None)
+    p.add_argument("--seed", type=_number(int), default=0, help="simulation pre-pass seed")
+    p.add_argument("--max-conflicts", type=_number(int, at_least_zero=True), default=None)
+    p.add_argument("--max-seconds", type=_number(float, at_least_zero=True), default=None)
     p.add_argument("--trace", metavar="FILE", default=None, help="write counterexample trace here")
     p.add_argument("--cnf", metavar="FILE", default=None, help="write miter DIMACS here")
     p.add_argument("--report", metavar="FILE", default=None)
@@ -249,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject-fault", help="mutate a netlist with a seeded structural fault")
     p.add_argument("netlist")
     p.add_argument("--kind", required=True, choices=FAULT_KINDS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int), default=0)
     p.add_argument("--target", default=None, help="output net of the gate (default: seeded pick)")
     p.add_argument("--out", metavar="FILE", default=None)
     p.set_defaults(func=cmd_inject_fault)
@@ -258,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist")
     common(p)
     p.add_argument("--waves", required=True, metavar="FILE", help="one wave per line: 'a=0 b=1'")
-    p.add_argument(
-        "--extra", type=_at_least_zero(int), default=None, help="cycles after the last wave"
-    )
+    p.add_argument("--extra", type=_number(int, at_least_zero=True), help="cycles after the last wave")
     p.set_defaults(func=cmd_simulate)
     return parser
 

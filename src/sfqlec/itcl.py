@@ -10,7 +10,7 @@ wave of the specification corresponds to one matched step of the model.
 
 from dataclasses import dataclass, field
 
-from .errors import SfqlecError
+from .errors import SfqlecError, parse_number
 from .mcid import MCIDCircuit, TimedSignal, dependency_window
 from .netlist import Gate
 from .profiles import KINDS
@@ -37,13 +37,15 @@ class ArrivalSchedule:
         text = text.strip()
         if not text:
             return cls(lateness)
-        for part in text.split(","):
+        for pos, part in enumerate(text.split(","), start=1):
+            if not part.strip():
+                raise ItclError(f"empty arrival entry {pos} in {text!r}")
             name, sep, val = part.partition(":")
             name = name.strip()
-            if not sep or not name or not val.isascii() or "_" in val:
+            if not sep or not name:
                 raise ItclError(f"bad arrival entry {part.strip()!r}, expected name:cycles")
             try:
-                cycles = int(val)
+                cycles = parse_number(val)
             except ValueError:
                 raise ItclError(f"bad arrival entry {part.strip()!r}, expected name:cycles") from None
             if name in lateness:

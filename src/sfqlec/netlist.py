@@ -109,48 +109,42 @@ class Netlist:
         self.order = self._kahn_order()
 
     def _kahn_order(self) -> tuple[Gate, ...]:
-        """Kahn's algorithm over gates; deterministic, ties broken by output
-        net.  The heap holds each output's rank among the sorted output
-        names, so it compares ints.  The indegree pass walks `gates` in order
-        and rejects the first undriven gate input; undriven outputs are
-        rejected next, and cycles last."""
+        """Kahn's algorithm with the output names on a `heapq` list: the ready
+        gate with the smallest output name goes next.  The indegree pass walks
+        `gates` in order and rejects the first undriven gate input; undriven
+        outputs next, then a cycle, naming the first five stuck gates by name."""
         driver_of, pis = self.driver_of, self._pis
-        names = sorted(driver_of)
-        rank = {out: r for r, out in enumerate(names)}
-        by_rank = [driver_of[out] for out in names]
-        indegree = [0] * len(names)
-        consumers: dict[int, list[int]] = {}
-        rank_of, consumers_of = rank.get, consumers.get
-        for g in self.gates:
-            r = rank[g.output]
+        indegree: dict[Hashable, int] = {}
+        readers: dict[Hashable, list[Hashable]] = {}
+        readers_of = readers.get
+        for _, ins, out in self.gates:
             deps = 0
-            for net in g.inputs:
-                src = rank_of(net)
-                if src is None:
-                    if net not in pis:
-                        raise NetlistError(f"gate {g.output!r} reads undriven net {net!r}")
-                    continue
-                deps += 1
-                readers = consumers_of(src)
-                if readers is None:
-                    consumers[src] = [r]
-                else:
-                    readers.append(r)
-            indegree[r] = deps
+            for net in ins:
+                if net in driver_of:
+                    deps += 1
+                    sinks = readers_of(net)
+                    if sinks is None:
+                        readers[net] = [out]
+                    else:
+                        sinks.append(out)
+                elif net not in pis:
+                    raise NetlistError(f"gate {out!r} reads undriven net {net!r}")
+            indegree[out] = deps
         for po in self.primary_outputs:
             if po not in pis and po not in driver_of:
                 raise NetlistError(f"primary output {po!r} is undriven")
-        ready = [r for r, d in enumerate(indegree) if not d]  # ascending, so a heap
+        ready = [out for out, d in indegree.items() if not d]
+        heapq.heapify(ready)
         order: list[Gate] = []
         while ready:
-            r = heapq.heappop(ready)
-            order.append(by_rank[r])
-            for nxt in consumers_of(r, ()):
-                indegree[nxt] -= 1
-                if not indegree[nxt]:
+            out = heapq.heappop(ready)
+            order.append(driver_of[out])
+            for nxt in readers_of(out, ()):
+                d = indegree[nxt] = indegree[nxt] - 1
+                if not d:
                     heapq.heappush(ready, nxt)
         if len(order) != len(self.gates):
-            stuck = [names[r] for r, d in enumerate(indegree) if d]
+            stuck = sorted(out for out, d in indegree.items() if d)
             raise NetlistError(f"cycle detected involving gate(s): {', '.join(stuck[:5])}")
         return tuple(order)
 

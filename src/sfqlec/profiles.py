@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 import operator
 
-from .errors import SfqlecError
+from .errors import SfqlecError, parse_number
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,7 @@ def load_profile(text: str) -> TechnologyProfile:
 
     def as_int(key: str) -> int:
         try:
-            if not values[key].isascii() or "_" in values[key]:  # no 1_000, no other script's digits
-                raise ValueError(values[key])
-            return int(values[key])
+            return parse_number(values[key])
         except ValueError:
             raise ProfileError(f"profile key {key} must be an integer") from None
 

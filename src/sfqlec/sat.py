@@ -106,9 +106,10 @@ class Tseitin:
 
 def cnf_from_aig(aig, root: int) -> Cnf:
     """Encode the cone of `root`, numbered by `Tseitin.cone` (a timed input
-    sorts by name, then step), with one clause asserting it true."""
+    sorts by name, then step), with one clause asserting it true.  A TRUE
+    root (edge 0) needs no clause and a FALSE root (edge 1) is the empty clause."""
     if root >> 1 == 0:
-        raise ValueError("constant root needs no CNF")
+        return Cnf(0, [()] if root else [], {})
     enc, clauses = Tseitin(aig), []
     for v, la, lb in enc.cone(*aig.cone([root])):
         clauses += (-v, la), (-v, lb), (v, -la, -lb)
@@ -139,7 +140,7 @@ def to_dimacs(cnf: Cnf) -> str:
     lines = [f"c var {v} = {lbl}" for lbl, v in reversed(cnf.input_vars.items())]
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for c in cnf.clauses:
-        lines.append(" ".join(map(str, c)) + " 0")
+        lines.append(" ".join([*map(str, c), "0"]))
     return "\n".join(lines) + "\n"
 
 

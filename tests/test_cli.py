@@ -456,6 +456,30 @@ def test_negative_or_nan_limits_are_usage_errors(work, capsys, argv):
     assert f"error: argument {argv[-2]}: must be at least 0" in captured.err
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("verify", "late_d.bench", "late_d_golden.bench", "--seed"), "int"),
+        (("verify", "late_d.bench", "late_d_golden.bench", "--max-conflicts"), "int"),
+        (("verify", "late_d.bench", "late_d_golden.bench", "--max-seconds"), "float"),
+        (("inject-fault", "late_d.bench", "--kind", "swap-gate", "--seed"), "int"),
+        (("simulate", "late_d.bench", "--waves", "in.waves", "--extra"), "int"),
+    ],
+    ids=["verify-seed", "max-conflicts", "max-seconds", "inject-fault-seed", "extra"],
+)
+def test_number_options_take_only_ascii_digits_without_underscores(work, capsys, argv, kind, value):
+    # `int()` and `float()` alone read 1_0 as 10 and an Arabic-Indic one as 1
+    (work / "in.waves").write_text("a=0 b=1 c=1 d=0\n")
+    args = [str(work / a) if a.endswith((".bench", ".waves")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argv[-1]}: invalid {kind} value: {value!r}" in captured.err
+
+
 def test_missing_subcommand_exits_argparse_style(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -53,6 +53,16 @@ def test_schedule_parse_takes_only_ascii_decimal_digits():
         ArrivalSchedule.parse("a: 1,b:-1").validate(("a", "b"))
 
 
+def test_schedule_parse_names_an_empty_entry_and_its_place():
+    cases = {"d:1,": "empty arrival entry 2 in 'd:1,'",
+             "d:1,,a:2": "empty arrival entry 2 in 'd:1,,a:2'",
+             ",d:1": "empty arrival entry 1 in ',d:1'",
+             " d:1, ,a:2 ": "empty arrival entry 2 in 'd:1, ,a:2'"}
+    for text, message in cases.items():
+        with pytest.raises(ItclError, match=f"^{re.escape(message)}$"):
+            ArrivalSchedule.parse(text)
+
+
 def test_schedule_validate():
     pis = ("a", "b")
     ArrivalSchedule.parse("a:2,b:1").validate(pis)

@@ -196,6 +196,19 @@ def test_cycle_rejected_even_through_dff():
         net.order
 
 
+def test_cycle_message_names_the_first_five_stuck_gates_by_name():
+    # name order (g1, g10, g11, g12, g2) is not numeric order; y is stuck too
+    ring = "".join(f"g{i} = INV(g{i % 12 + 1})\n" for i in range(1, 13))
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("INPUT(a)\nOUTPUT(y)\n" + ring + "y = AND2(a, g3)\n")
+    assert str(exc.value) == "cycle detected involving gate(s): g1, g10, g11, g12, g2"
+
+
+def test_order_of_a_net_read_on_both_pins():
+    net = parse_netlist("INPUT(a)\nOUTPUT(w)\nw = INV(y)\ny = AND2(x, x)\nx = INV(a)\n")
+    assert [g.output for g in net.order] == ["x", "y", "w"]
+
+
 def test_write_netlist_emits_topological_gate_order():
     net = parse_netlist(SMALL)
     text = write_netlist(net)

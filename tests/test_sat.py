@@ -5,7 +5,7 @@ import pytest
 
 from gen import kogge_stone_adder, ripple_adder, sfqify
 from sfqlec import build_mcid, build_miter, builtin_profile
-from sfqlec.aig import Aig
+from sfqlec.aig import FALSE, TRUE, Aig
 from sfqlec.mcid import TimedSignal
 from sfqlec.sat import Budget, CdclSolver, Cnf, cnf_from_aig, to_dimacs
 
@@ -118,10 +118,14 @@ def test_cnf_input_order_is_numeric_in_the_step():
     assert [cnf.input_vars[TimedSignal("n", t)] for t in (-10, -9, -1)] == [1, 2, 3]
 
 
-def test_cnf_from_aig_rejects_constant_root():
+def test_cnf_from_aig_of_a_constant_root():
+    # a TRUE root holds with no clause; a FALSE root is the empty clause
     g = Aig()
-    with pytest.raises(ValueError):
-        cnf_from_aig(g, 0)
+    g.input_("a")
+    assert cnf_from_aig(g, TRUE) == Cnf(0, [], {})
+    assert cnf_from_aig(g, FALSE) == Cnf(0, [()], {})
+    assert to_dimacs(cnf_from_aig(g, TRUE)) == "p cnf 0 0\n"
+    assert to_dimacs(cnf_from_aig(g, FALSE)) == "p cnf 0 1\n0\n"
 
 
 def test_cnf_solutions_match_aig_evaluation():
