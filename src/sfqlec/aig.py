@@ -77,18 +77,19 @@ class Aig:
 
     def cone(self, roots: list[int]) -> tuple[list[int], list[int]]:
         """Node indices reachable from roots: (input nodes in label order,
-        and nodes in index order)."""
-        seen: set[int] = set()
-        stack = [r >> 1 for r in roots]
-        while stack:
-            i = stack.pop()
-            if i in seen or i == 0:
-                continue
-            seen.add(i)
-            node = self.nodes[i]
-            if node[0] == "and":
-                stack.append(node[1] >> 1)
-                stack.append(node[2] >> 1)
-        ins = sorted((i for i in seen if self.nodes[i][0] == "in"), key=self.label)
-        ands = sorted(i for i in seen if self.nodes[i][0] == "and")
-        return ins, ands
+        and nodes in index order).  Every node comes after its fanins, so
+        one pass down from the highest root marks the whole cone."""
+        top = max(roots, default=0) >> 1
+        mark = bytearray(top + 1)
+        for r in roots:
+            mark[r >> 1] = 1
+        ins, ands = [], []
+        for i in range(top, 0, -1):
+            if mark[i]:
+                node = self.nodes[i]
+                if node[0] == "and":
+                    mark[node[1] >> 1] = mark[node[2] >> 1] = 1
+                    ands.append(i)
+                else:
+                    ins.append(i)
+        return sorted(ins, key=self.label), ands[::-1]

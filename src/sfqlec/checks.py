@@ -10,8 +10,7 @@ primary outputs.
 
 from dataclasses import dataclass, field
 
-# DISTANCE_CAP and BaseDistanceSet are imported so `sfqlec.checks` still names them.
-from .netlist import DISTANCE_CAP, BaseDistanceSet, Netlist, base_distances, count_readers  # noqa: F401
+from .netlist import Netlist, base_distances, count_readers
 from .profiles import TechnologyProfile
 
 FANOUT_EXCEEDED = "FanoutExceeded"

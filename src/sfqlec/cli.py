@@ -37,7 +37,7 @@ VERDICT_WORDS = {True: "equivalent", False: "inequivalent", None: "unknown"}
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise SfqlecError(f"cannot read {path!r}: {exc}") from None

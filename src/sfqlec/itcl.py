@@ -98,6 +98,10 @@ def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:
             chains.append(Gate(KINDS["BUF"], (prev,), out))
             prev = out
         replace[pin] = prev
+    made = {g.output for g in chains}
+    clash = made.intersection(new_pins) or made.intersection(g.output for g in mcid.gates)
+    if clash:
+        raise ItclError(f"arrival buffer net {min(clash)} is also a net of the model")
 
     new, get = tuple.__new__, replace.get
     gates = chains + [

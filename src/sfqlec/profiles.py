@@ -191,7 +191,7 @@ def resolve_profile(spec: str) -> TechnologyProfile:
     except ProfileError:
         pass
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
+        with open(spec, "r", encoding="utf-8-sig") as fh:
             return load_profile(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ProfileError(f"cannot load profile {spec!r}: {exc}") from None

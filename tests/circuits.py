@@ -169,3 +169,15 @@ out = XOR2(lm, rm)
 
 def double_split_netlist():
     return parse_netlist(DOUBLE_SPLIT_BENCH, name="double_split")
+
+
+# Under `--arrivals d:1` the buffer chain for d's pin at step -1 is named
+# d.itcl.t-1@t-1, the net the INV drives here: two drivers of one net.
+ITCL_CLASH_BENCH = """INPUT(a)
+INPUT(d)
+OUTPUT(o2)
+OUTPUT(o1)
+o1 = BUF(d)
+d.itcl.t-1 = INV(a)
+o2 = BUF(d.itcl.t-1)
+"""

@@ -34,16 +34,22 @@ import re
 from sfqlec import miter
 from sfqlec.aig import FALSE, Aig
 from sfqlec.checks import (
-    DISTANCE_CAP,
     UNBALANCED_FANIN,
     UNEQUAL_OUTPUT_DEPTH,
-    BaseDistanceSet,
     CheckReport,
     Violation,
 )
 from sfqlec.itcl import ArrivalSchedule, apply_itcl, match_inputs
 from sfqlec.mcid import MCIDCircuit, TimedSignal, build_mcid
-from sfqlec.netlist import BenchParseError, Gate, Netlist, NetlistError, get_kind
+from sfqlec.netlist import (
+    DISTANCE_CAP,
+    BaseDistanceSet,
+    BenchParseError,
+    Gate,
+    Netlist,
+    NetlistError,
+    get_kind,
+)
 from sfqlec.profiles import KINDS, RSFQ, TechnologyProfile
 from sfqlec.sat import CdclSolver, cnf_from_aig
 from sfqlec.sim import SimError, _cycles, evaluate_golden

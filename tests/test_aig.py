@@ -96,3 +96,31 @@ def test_cone_reports_reachable_nodes_only():
     ins_all, ands_all = g.cone([g.and_(used, c)])
     assert len(ins_all) == 3 and len(ands_all) == 2
     assert g.cone([TRUE]) == ([], [])
+
+
+def reachable(g, roots):
+    """Definitional cone: every node a fanin walk reaches from roots."""
+    seen, todo = set(), [r >> 1 for r in roots]
+    while todo:
+        i = todo.pop()
+        if i and i not in seen:
+            seen.add(i)
+            if g.nodes[i][0] == "and":
+                todo += [g.nodes[i][1] >> 1, g.nodes[i][2] >> 1]
+    ins = sorted((i for i in seen if g.nodes[i][0] == "in"), key=g.label)
+    return ins, sorted(i for i in seen if g.nodes[i][0] == "and")
+
+
+def test_cone_matches_a_reachability_walk():
+    rng = random.Random(7)
+    for _ in range(300):
+        g = Aig()
+        labels = [f"x{j}" for j in range(rng.randint(1, 8))]
+        rng.shuffle(labels)  # node order disagrees with label order
+        edges = [TRUE, FALSE] + [g.input_(name) for name in labels]
+        for _ in range(rng.randint(0, 40)):
+            a, b = rng.choice(edges) ^ rng.randint(0, 1), rng.choice(edges) ^ rng.randint(0, 1)
+            edges.append(rng.choice((g.and_, g.or_, g.xor_))(a, b))
+        picks = [rng.choice(edges) ^ rng.randint(0, 1) for _ in range(rng.randint(0, 4))]
+        for roots in ([], [TRUE], [FALSE], picks, picks + picks[:1], [FALSE] + picks):
+            assert g.cone(roots) == reachable(g, roots), roots

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from circuits import (
+    ITCL_CLASH_BENCH,
     LATE_D_BENCH,
     LATE_D_GOLDEN_BENCH,
     SPLIT_RECONVERGE_BENCH,
@@ -402,6 +403,33 @@ def test_lateness_above_the_limit_is_a_config_error(work, capsys, command):
     uniform = ",".join(f"{pi}:99999999999" for pi in "abcd")
     code, _, _ = run(capsys, *args, "--arrivals", uniform)
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("verify", "o1 = INV(a)\no2 = INV(a)\n"),
+        ("verify", "o1 = BUF(d)\no2 = INV(a)\n"),
+        ("build-mcid", None),
+    ],
+    ids=["verify-inequivalent-spec", "verify-equivalent-spec", "build-mcid"],
+)
+def test_an_arrival_buffer_net_named_like_a_model_net_is_a_config_error(work, capsys, command, spec):
+    (work / "clash.bench").write_text(ITCL_CLASH_BENCH)
+    args = [command, work / "clash.bench"]
+    if spec is not None:
+        (work / "clash_spec.bench").write_text("INPUT(a)\nINPUT(d)\nOUTPUT(o2)\nOUTPUT(o1)\n" + spec)
+        args.append(work / "clash_spec.bench")
+    got = run(capsys, *args, "--arrivals", "d:1")
+    assert got == (2, "", "error: arrival buffer net d.itcl.t-1@t-1 is also a net of the model\n")
+
+
+def test_a_netlist_with_a_byte_order_mark_is_read(work, capsys):
+    path = work / "bom.bench"
+    path.write_bytes(b"\xef\xbb\xbf" + (work / "reconv.bench").read_bytes())
+    code, out, _ = run(capsys, "check-structure", path)
+    assert code == 0
+    assert out.splitlines()[-1] == "checks passed"
 
 
 @pytest.mark.parametrize(

@@ -30,9 +30,9 @@ from sfqlec import (
     check_path_balance,
     parse_netlist,
 )
-from sfqlec.checks import DISTANCE_CAP, UNBALANCED_FANIN, UNEQUAL_OUTPUT_DEPTH, BaseDistanceSet
+from sfqlec.checks import UNBALANCED_FANIN, UNEQUAL_OUTPUT_DEPTH
 from sfqlec.mcid import TimedSignal
-from sfqlec.netlist import Gate, bench_text, get_kind
+from sfqlec.netlist import DISTANCE_CAP, BaseDistanceSet, Gate, bench_text, get_kind
 
 PROFILES = [builtin_profile(name) for name in ("rsfq", "aqfp", "cmos")]
 

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from circuits import late_d_netlist
+from circuits import ITCL_CLASH_BENCH, late_d_netlist
 from sfqlec import (
     ArrivalSchedule,
     apply_itcl,
@@ -10,6 +10,7 @@ from sfqlec import (
     builtin_profile,
     dependency_window,
     match_inputs,
+    parse_netlist,
 )
 from sfqlec.itcl import ItclError
 from sfqlec.mcid import MCIDCircuit, TimedSignal
@@ -112,6 +113,27 @@ def test_two_cycle_shift_chains_two_buffers():
         "d.itcl.t-4@t-5",
         "d.itcl.t-4@t-4",
     }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ITCL_CLASH_BENCH,
+        "INPUT(d)\nINPUT(d.itcl.t-1)\nOUTPUT(o1)\nOUTPUT(o2)\no1 = BUF(d)\no2 = BUF(d.itcl.t-1)\n",
+    ],
+    ids=["gate-net", "input-pin"],
+)
+def test_a_chain_net_that_is_also_a_model_net_is_refused(text):
+    mcid = build_mcid(parse_netlist(text), RSFQ)
+    with pytest.raises(ItclError, match=re.escape("arrival buffer net d.itcl.t-1@t-1 is also a net of the model")):
+        apply_itcl(mcid, ArrivalSchedule.parse("d:1"))
+
+
+def test_a_chain_name_at_another_step_is_accepted():
+    text = "INPUT(a)\nINPUT(d)\nOUTPUT(o1)\nOUTPUT(d.itcl.t-1)\no1 = BUF(d)\nd.itcl.t-1 = INV(a)\n"
+    shifted = apply_itcl(build_mcid(parse_netlist(text), RSFQ), ArrivalSchedule.parse("d:1"))
+    outs = sorted(str(g.output) for g in shifted.gates)
+    assert outs == ["d.itcl.t-1@t-1", "d.itcl.t-1@t0", "o1@t0"]
 
 
 def test_consumers_read_the_chain_not_the_pin():

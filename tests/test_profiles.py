@@ -104,3 +104,9 @@ def test_resolve_profile_by_name_and_path(tmp_path):
     assert resolve_profile(str(path)).name == "lab"
     with pytest.raises(ProfileError):
         resolve_profile("no-such-profile-or-file")
+
+
+def test_resolve_profile_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.profile"
+    path.write_bytes(b"\xef\xbb\xbf" + write_profile(builtin_profile("aqfp")).encode())
+    assert resolve_profile(str(path)) == builtin_profile("aqfp")
