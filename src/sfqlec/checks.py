@@ -8,7 +8,7 @@ wave arrives on all its pins together) and one common depth across the
 primary outputs.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .netlist import Netlist, base_distances, count_readers
 from .profiles import TechnologyProfile
@@ -18,8 +18,7 @@ UNBALANCED_FANIN = "UnbalancedFanin"
 UNEQUAL_OUTPUT_DEPTH = "UnequalOutputDepth"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     location: str
     detail: str
@@ -28,9 +27,9 @@ class Violation:
         return f"VIOLATION {self.kind} {self.location} {self.detail}"
 
 
-@dataclass
 class CheckReport:
-    violations: list[Violation] = field(default_factory=list)
+    def __init__(self):
+        self.violations: list[Violation] = []
 
     @property
     def passed(self) -> bool:

@@ -8,7 +8,6 @@ identical bytes; wall-clock numbers go to stderr and to --report-tsv.
 """
 
 import argparse
-import dataclasses
 import functools
 import gc
 import os
@@ -128,10 +127,9 @@ def cmd_verify(args) -> int:
         f"matched-step {miter.matching.t_star}",
         f"verdict {word}",
     ]
-    for f in dataclasses.fields(s):
-        value = getattr(s, f.name)
+    for name, value in vars(s).items():  # in VerdictStats.__init__'s order
         if value is not None and value != "":
-            lines.append(f"{f.name.replace('_', '-')} {value}")
+            lines.append(f"{name.replace('_', '-')} {value}")
     if verdict.per_output is not None:
         lines += [f"output {po} {VERDICT_WORDS[v]}" for po, v in verdict.per_output.items()]
     if verdict.trace is not None:

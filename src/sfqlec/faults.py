@@ -7,7 +7,7 @@ rejects the netlist before any unrolling happens.
 """
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SfqlecError
 from .netlist import Gate, Netlist, count_readers, logic_levels
@@ -23,8 +23,7 @@ class FaultError(SfqlecError):
     pass
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     kind: str
     target: str  # the faulted gate's output net in the original netlist
     detail: str
@@ -33,11 +32,11 @@ class FaultSpec:
         return f"FAULT {self.kind} {self.target} {self.detail}"
 
 
-def _rebuild(netlist: Netlist, gates: list[Gate], pos=None) -> Netlist:
+def _rebuild(netlist: Netlist, gates: list[Gate]) -> Netlist:
     return Netlist(
         name=netlist.name,
         primary_inputs=tuple(netlist.primary_inputs),
-        primary_outputs=tuple(pos if pos is not None else netlist.primary_outputs),
+        primary_outputs=tuple(netlist.primary_outputs),
         gates=tuple(gates),
     )
 
@@ -126,10 +125,8 @@ def _remove_splitter(netlist: Netlist, rng: random.Random, target: str | None):
         and readers[g.output] >= 2
     ]
     target = _pick(rng, eligible, target, "bypassable splitter", "is not a bypassable splitter")
-    src = netlist.driver_of[target].inputs[0]
-    pos = [src if po == target else po for po in netlist.primary_outputs]
-    gates = _bypass(netlist, src, target)
-    return _rebuild(netlist, gates, pos), FaultSpec(REMOVE_SPLITTER, target, "bypassed")
+    gates = _bypass(netlist, netlist.driver_of[target].inputs[0], target)
+    return _rebuild(netlist, gates), FaultSpec(REMOVE_SPLITTER, target, "bypassed")
 
 
 def inject(

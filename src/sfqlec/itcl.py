@@ -8,7 +8,7 @@ rebuilding the consumed value through a buffer chain, so that afterwards one
 wave of the specification corresponds to one matched step of the model.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SfqlecError, parse_number
 from .mcid import MCIDCircuit, TimedSignal, dependency_window
@@ -26,9 +26,8 @@ class ItclError(SfqlecError):
     pass
 
 
-@dataclass
-class ArrivalSchedule:
-    lateness: dict[str, int] = field(default_factory=dict)  # PI -> cycles late
+class ArrivalSchedule(NamedTuple):
+    lateness: dict[str, int] = {}  # PI -> cycles late; read, never written
 
     @classmethod
     def parse(cls, text: str) -> "ArrivalSchedule":
@@ -114,8 +113,7 @@ def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:
     )
 
 
-@dataclass
-class InputMatching:
+class InputMatching(NamedTuple):
     t_star: int
     matched: dict[str, TimedSignal]  # spec input name -> model pin
 

@@ -15,7 +15,6 @@ hashed, compared and sorted by value as (net, step), and equal to the plain
 tuple of its fields.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .netlist import Gate, Netlist, bench_text, logic_levels
@@ -30,8 +29,7 @@ class TimedSignal(NamedTuple):
         return f"{self.net}@t{self.step}"
 
 
-@dataclass
-class MCIDCircuit:
+class MCIDCircuit(NamedTuple):
     source_name: str
     source_pis: tuple[str, ...]
     gates: list[Gate]  # over TimedSignal nets; storage elements appear as BUF

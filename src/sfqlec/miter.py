@@ -34,7 +34,7 @@ a cone over `_CANON_CAP` says "capped" unless all zeros set its root.
 """
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aig import Aig, FALSE, TRUE
 from .checks import CheckReport, check_fanout, check_path_balance
@@ -57,8 +57,7 @@ class MiterError(SfqlecError):
     pass
 
 
-@dataclass
-class Miter:
+class Miter(NamedTuple):
     aig: Aig
     root: int
     outputs: dict[str, tuple[int, int, int]]  # po -> (impl, golden, differ) edges, spec order
@@ -66,32 +65,29 @@ class Miter:
     mcid: MCIDCircuit
 
 
-@dataclass
 class VerdictStats:
-    """The report's counters, in report order; a None or "" one is left out."""
-    method: str = ""
-    aig_nodes: int = 0
-    cnf_vars: int = 0
-    cnf_clauses: int = 0
-    decisions: int = 0
-    conflicts: int = 0
-    propagations: int = 0
-    canon_sat_calls: int = 0
-    sweep_proved: int | None = None  # None when no sweep ran
-    sweep_refuted: int | None = None
-    trace_canonical: str = ""  # "yes", "capped" or "budget" when there is a trace
+    """The report's counters: `vars()` lists them in report order, and the
+    report leaves out a None or "" one."""
+
+    def __init__(self, aig_nodes: int = 0):
+        self.method = ""
+        self.aig_nodes = aig_nodes
+        self.cnf_vars = self.cnf_clauses = 0
+        self.decisions = self.conflicts = self.propagations = 0
+        self.canon_sat_calls = 0
+        self.sweep_proved: int | None = None  # None when no sweep ran
+        self.sweep_refuted: int | None = None
+        self.trace_canonical = ""  # "yes", "capped" or "budget" when there is a trace
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     equivalent: bool | None  # None = gave up under a solver limit
     trace: TimedTrace | None
     stats: VerdictStats
     per_output: dict[str, bool | None] | None = None
 
 
-@dataclass
-class Run:
+class Run(NamedTuple):
     """What `verify` found; a failed fanout check leaves the rest None."""
     fanout: CheckReport
     balance: CheckReport | None = None
@@ -359,18 +355,16 @@ def check_equivalence(
         stats.cnf_vars = sweep.solver.nv
         stats.decisions, stats.conflicts, stats.propagations = s.decisions, s.conflicts, s.propagations
 
+    trace = None
     if witness is not None:
         model, (graph, edge) = witness
-        model = _lex_min_model(graph, edge, model, stats, budget)
-        verdict = Verdict(False, extract_trace(miter, model), stats)
-    elif any(v is None for v in per.values()):
-        verdict = Verdict(None, None, stats)
+        trace = extract_trace(miter, _lex_min_model(graph, edge, model, stats, budget))
+        equivalent = False
     else:
-        verdict = Verdict(True, None, stats)
+        equivalent = None if None in per.values() else True
     if per_output:
         stats.method = "per-output"
-        verdict.per_output = per
-    return verdict
+    return Verdict(equivalent, trace, stats, per if per_output else None)
 
 
 def extract_trace(miter: Miter, model: dict) -> TimedTrace:
@@ -395,11 +389,10 @@ def verify(
     one) stops before unrolling.  `limits` are `check_equivalence`'s
     keywords.  Pausing the cyclic collector is left to the caller."""
     shifts = schedule.shifts(netlist.primary_inputs)
-    run = Run(check_fanout(netlist, profile))
-    if not run.fanout.passed:
-        return run
+    fanout = check_fanout(netlist, profile)
+    if not fanout.passed:
+        return Run(fanout)
     # balance is judged for the declared arrivals
-    run.balance = check_path_balance(netlist, profile, po_only=po_only_balance, shifts=shifts)
-    run.miter = build_miter(apply_itcl(build_mcid(netlist, profile), schedule), golden)
-    run.verdict = check_equivalence(run.miter, **limits)
-    return run
+    balance = check_path_balance(netlist, profile, po_only=po_only_balance, shifts=shifts)
+    miter = build_miter(apply_itcl(build_mcid(netlist, profile), schedule), golden)
+    return Run(fanout, balance, miter, check_equivalence(miter, **limits))

@@ -18,7 +18,6 @@ defaults).
 
 from collections import Counter
 from collections.abc import Hashable
-from dataclasses import dataclass, field
 import heapq
 from itertools import chain
 from operator import attrgetter
@@ -71,23 +70,23 @@ _GATE_LINE_RE = re.compile(
 )
 
 
-@dataclass
 class Netlist:
-    """Immutable-by-convention DAG of gates.
+    """Immutable-by-convention DAG of gates, compared by identity.
 
     Derived lookup maps and the topological order are built once at
     construction.  Each net has at most one driver; primary outputs must be
     gate-driven or primary inputs.
     """
 
-    name: str
-    primary_inputs: tuple[str, ...]
-    primary_outputs: tuple[str, ...]
-    gates: tuple[Gate, ...]
-    driver_of: dict[str, Gate] = field(init=False, repr=False, compare=False)
-    order: tuple[Gate, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        primary_inputs: tuple[str, ...],
+        primary_outputs: tuple[str, ...],
+        gates: tuple[Gate, ...],
+    ):
+        self.name, self.gates = name, gates
+        self.primary_inputs, self.primary_outputs = primary_inputs, primary_outputs
         self.driver_of = driver_of = {}
         self._pis = pi_set = frozenset(self.primary_inputs)
         if len(pi_set) != len(self.primary_inputs):

@@ -16,17 +16,24 @@ Built-ins:
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 import operator
+from typing import NamedTuple
 
 from .errors import SfqlecError, parse_number
 
 
-@dataclass(frozen=True)
 class GateKind:
-    name: str
-    arity: int
-    meaning: Callable = field(repr=False)  # meaning(algebra, *fanins) -> output
+    """A cell kind; the front end reads its fields once per gate, and an
+    instance attribute reads faster than a tuple field."""
+
+    __slots__ = ("name", "arity", "meaning")
+
+    def __init__(self, name: str, arity: int, meaning: Callable):
+        self.name, self.arity = name, arity
+        self.meaning = meaning  # meaning(algebra, *fanins) -> output
+
+    def __repr__(self) -> str:
+        return f"GateKind(name={self.name!r}, arity={self.arity})"
 
 
 def _identity(alg, a):
@@ -68,8 +75,7 @@ class ProfileError(SfqlecError):
     pass
 
 
-@dataclass(frozen=True)
-class TechnologyProfile:
+class TechnologyProfile(NamedTuple):
     name: str
     default_fanout_limit: int
     splitter_fanout_limit: int

@@ -43,12 +43,11 @@ a scan of all free variables would make.
 """
 
 import time
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 
-@dataclass
-class Cnf:
+class Cnf(NamedTuple):
     num_vars: int
     clauses: list[tuple[int, ...]]
     input_vars: dict  # label -> dimacs var, in variable order
@@ -144,13 +143,13 @@ def to_dimacs(cnf: Cnf) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class Budget:
     """Conflicts and wall-clock time shared by a sequence of solve calls."""
 
-    max_conflicts: int | None = None
-    deadline: float | None = None  # a time.monotonic() instant
-    conflicts: int = 0  # spent so far
+    def __init__(self, max_conflicts: int | None = None, deadline: float | None = None):
+        self.max_conflicts = max_conflicts
+        self.deadline = deadline  # a time.monotonic() instant
+        self.conflicts = 0  # spent so far
 
     @classmethod
     def start(cls, max_conflicts=None, max_seconds=None):
@@ -163,12 +162,15 @@ class Budget:
         return self.deadline is not None and time.monotonic() > self.deadline
 
 
-@dataclass
 class SolverStats:
-    decisions: int = 0
-    conflicts: int = 0
-    propagations: int = 0
-    learned: int = 0
+    """Counters, equal when every counter is."""
+
+    def __init__(self, decisions=0, conflicts=0, propagations=0, learned=0):
+        self.decisions, self.conflicts = decisions, conflicts
+        self.propagations, self.learned = propagations, learned
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if isinstance(other, SolverStats) else NotImplemented
 
 
 class CdclSolver:

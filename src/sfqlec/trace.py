@@ -6,7 +6,7 @@ one output.  Cycle 0 is the earliest wave in the model's dependency window;
 the output is observed `observation_cycle` waves later.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def format_wave(wave: dict[str, int], order) -> str:
@@ -14,8 +14,7 @@ def format_wave(wave: dict[str, int], order) -> str:
     return " ".join(f"{pi}={wave.get(pi, 0)}" for pi in order)
 
 
-@dataclass
-class TimedTrace:
+class TimedTrace(NamedTuple):
     pi_order: tuple[str, ...]
     n_cycles: int
     timed_assignment: dict[tuple[str, int], int]  # (pi, cycle) -> bit

@@ -3,7 +3,6 @@ whole decide phase, and the report lines that say how a trace was reached."""
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -119,7 +118,7 @@ def test_unit_prefix_matches_the_assumed_prefix(width, monkeypatch):
             m.setattr(miter_module, "_lex_min_model", reference.lex_min_model)
             want = check_equivalence(miter)
         assert (got.trace, got.equivalent) == (want.trace, want.equivalent), (kind, seed)
-        assert replace(got.stats, canon_sat_calls=want.stats.canon_sat_calls) == want.stats, (kind, seed)
+        assert vars(got.stats) | {"canon_sat_calls": want.stats.canon_sat_calls} == vars(want.stats), (kind, seed)
         assert got.stats.canon_sat_calls <= 1, (kind, seed)
         calls += got.stats.canon_sat_calls
     assert calls > 0

@@ -595,6 +595,30 @@ def test_importing_the_cli_builds_no_parser():
     assert out == "0 True\n"
 
 
+# The modules that importing `sfqlec.cli` loads, as a diff of `sys.modules`,
+# so a module some site hook loaded earlier neither hides nor fakes one.
+WEIGHT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import sfqlec.cli
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """`dataclasses` brings `inspect`, `ast`, `dis` and `tokenize` with it;
+    with the methods it generated for each record, it took more than half
+    of a cold import of the CLI on 3.11."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    loaded = subprocess.run(
+        [sys.executable, "-I", "-c", WEIGHT_PROBE, os.path.abspath(src)],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "sfqlec.cli" in loaded
+    assert not {"dataclasses", "inspect"}.intersection(loaded), loaded
+
+
 def test_the_package_runs_as_a_module_from_a_checkout():
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     done = subprocess.run(

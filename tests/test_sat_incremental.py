@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import astuple
 
 import reference
 from gen import kogge_stone_adder, ripple_adder, sfqify
@@ -405,7 +404,7 @@ def search_path(seeds=range(40)):
                 solver.add_clause((rng.choice(false), b, c))
             if rng.random() < 0.5:
                 solver.add_clause((c,))
-        total = [t + n for t, n in zip(total, astuple(solver.stats))]
+        total = [t + n for t, n in zip(total, vars(solver.stats).values())]
         clauses.append(solver.clauses)
     return sha256(calls), SolverStats(*total), sha256(clauses)
 
