@@ -3,9 +3,9 @@
 A pipelined block rarely samples all of its inputs on the same wave; an
 arrival schedule records how many cycles late each primary input is fed
 relative to the earliest one.  apply_itcl absorbs that skew into the MCID
-circuit by retiming each input pin earlier by its relative lateness and
-rebuilding the consumed value through a buffer chain, so that afterwards one
-wave of the specification corresponds to one matched step of the model.
+circuit by moving each input pin earlier by its relative lateness, so that
+afterwards one wave of the specification corresponds to one matched step of
+the model.
 """
 
 from typing import NamedTuple
@@ -13,12 +13,12 @@ from typing import NamedTuple
 from .errors import SfqlecError, parse_number
 from .mcid import MCIDCircuit, TimedSignal, dependency_window
 from .netlist import Gate
-from .profiles import KINDS
 
 
-# Largest relative lateness accepted, in cycles.  apply_itcl builds one
-# buffer per cycle of lateness for each shifted pin, so an unbounded value
-# would let one schedule entry ask for billions of gates.
+# Largest relative lateness accepted, in cycles.  The lateness widens the
+# dependency window, and with it the CYCLE lines of a trace, the cycles
+# replay_trace simulates and `simulate --extra`'s floor, so an unbounded
+# value would let one schedule entry ask for billions of cycles.
 MAX_LATENESS = 1024
 
 
@@ -73,43 +73,20 @@ class ArrivalSchedule(NamedTuple):
 
 
 def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:
-    """Retarget each input pin k cycles earlier (k = relative lateness) and
-    splice in a k-long buffer chain that restores the value at the step its
-    consumers sample.  A uniform schedule leaves the circuit untouched."""
+    """Move each input pin k steps earlier (k = its input's relative
+    lateness): every reader of the pin reads the moved one.  A uniform
+    schedule leaves the circuit untouched."""
     shifts = schedule.shifts(mcid.source_pis)
     if all(k == 0 for k in shifts.values()):
         return mcid
 
-    replace: dict[TimedSignal, TimedSignal] = {}
-    new_pins: list[TimedSignal] = []
-    chains: list[Gate] = []
-    for pin in mcid.timed_inputs:
-        k = shifts[pin.net]
-        if k == 0:
-            new_pins.append(pin)
-            continue
-        fed = TimedSignal(pin.net, pin.step - k)
-        new_pins.append(fed)
-        base = f"{pin.net}.itcl.t{pin.step}"  # keeps chain nets off the pin namespace
-        prev = fed
-        for j in range(1, k + 1):
-            out = TimedSignal(base, pin.step - k + j)
-            chains.append(Gate(KINDS["BUF"], (prev,), out))
-            prev = out
-        replace[pin] = prev
-    made = {g.output for g in chains}
-    clash = made.intersection(new_pins) or made.intersection(g.output for g in mcid.gates)
-    if clash:
-        raise ItclError(f"arrival buffer net {min(clash)} is also a net of the model")
-
-    new, get = tuple.__new__, replace.get
-    gates = chains + [
-        new(Gate, (kind, tuple([get(i, i) for i in ins]), out)) for kind, ins, out in mcid.gates
-    ]
-    outputs = {po: replace.get(sig, sig) for po, sig in mcid.outputs.items()}
-    timed_inputs = tuple(sorted(new_pins))
+    moved = {pin: TimedSignal(pin.net, pin.step - shifts[pin.net]) for pin in mcid.timed_inputs}
+    new, get = tuple.__new__, moved.get
+    gates = [new(Gate, (kind, tuple([get(i, i) for i in ins]), out)) for kind, ins, out in mcid.gates]
+    outputs = {po: get(sig, sig) for po, sig in mcid.outputs.items()}
+    pins = tuple(sorted(moved.values()))
     return MCIDCircuit(
-        mcid.source_name, mcid.source_pis, gates, timed_inputs, outputs, mcid.duplicated_gate_count
+        mcid.source_name, mcid.source_pis, gates, pins, outputs, mcid.duplicated_gate_count
     )
 
 

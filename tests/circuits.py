@@ -171,8 +171,9 @@ def double_split_netlist():
     return parse_netlist(DOUBLE_SPLIT_BENCH, name="double_split")
 
 
-# Under `--arrivals d:1` the buffer chain for d's pin at step -1 is named
-# d.itcl.t-1@t-1, the net the INV drives here: two drivers of one net.
+# The net the INV drives has the shape of the arrival-buffer names an
+# earlier apply_itcl built for d under `--arrivals d:1`; the shift only moves
+# d's pins, so it is an ordinary net.
 ITCL_CLASH_BENCH = """INPUT(a)
 INPUT(d)
 OUTPUT(o2)

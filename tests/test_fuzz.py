@@ -60,7 +60,8 @@ def mutate(rng: random.Random, text: str) -> str:
 
 
 def small_lateness(text: str) -> str:
-    """Cap every number at 3: apply_itcl builds one buffer per cycle late."""
+    """Cap every number at 3: the lateness widens the window, and with it
+    the trace and the cycles its replay simulates."""
     return re.sub(r"\d(?:_?\d)*", lambda m: str(min(int(m.group()), 3)), text)
 
 

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from circuits import ITCL_CLASH_BENCH, late_d_netlist
+from circuits import late_d_netlist
 from sfqlec import (
     ArrivalSchedule,
     apply_itcl,
@@ -10,7 +10,6 @@ from sfqlec import (
     builtin_profile,
     dependency_window,
     match_inputs,
-    parse_netlist,
 )
 from sfqlec.itcl import ItclError
 from sfqlec.mcid import MCIDCircuit, TimedSignal
@@ -87,17 +86,20 @@ def test_uniform_schedule_is_identity():
     assert apply_itcl(mcid, ArrivalSchedule.parse("a:1,b:1,c:1,d:1")) is mcid
 
 
+def reads(mcid, output):
+    gate = next(g for g in mcid.gates if str(g.output) == output)
+    return [str(s) for s in gate.inputs]
+
+
 def test_late_input_gets_buffer_chain():
     mcid = build_mcid(late_d_netlist(), RSFQ)
     shifted = apply_itcl(mcid, ArrivalSchedule.parse("d:1"))
     assert dependency_window(shifted)["d"] == (-6, -5)
     assert dependency_window(shifted)["a"] == (-5,)
-    # one buffer per shifted pin; original gates untouched
-    assert shifted.gate_count == mcid.gate_count + 2
-    chain = [g for g in shifted.gates if g.kind.name == "BUF" and ".itcl." in str(g.output)]
-    assert {str(g.output) for g in chain} == {"d.itcl.t-5@t-5", "d.itcl.t-4@t-4"}
-    assert {str(g.inputs[0]) for g in chain} == {"d@t-6", "d@t-5"}
-    # chain buffers are their own source, so duplication stays put
+    # the shift moves pins and adds no gate
+    assert shifted.gate_count == mcid.gate_count
+    assert reads(mcid, "t2@t-3") == ["cD@t-4", "d@t-4"] and reads(shifted, "t2@t-3") == ["cD@t-4", "d@t-5"]
+    assert reads(mcid, "r1@t-4") == ["d@t-5"] and reads(shifted, "r1@t-4") == ["d@t-6"]
     assert shifted.duplicated_gate_count == mcid.duplicated_gate_count
 
 
@@ -105,42 +107,17 @@ def test_two_cycle_shift_chains_two_buffers():
     mcid = build_mcid(late_d_netlist(), RSFQ)
     shifted = apply_itcl(mcid, ArrivalSchedule.parse("d:2"))
     assert dependency_window(shifted)["d"] == (-7, -6)
-    assert shifted.gate_count == mcid.gate_count + 4
-    names = {str(g.output) for g in shifted.gates if ".itcl." in str(g.output)}
-    assert names == {
-        "d.itcl.t-5@t-6",
-        "d.itcl.t-5@t-5",
-        "d.itcl.t-4@t-5",
-        "d.itcl.t-4@t-4",
-    }
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        ITCL_CLASH_BENCH,
-        "INPUT(d)\nINPUT(d.itcl.t-1)\nOUTPUT(o1)\nOUTPUT(o2)\no1 = BUF(d)\no2 = BUF(d.itcl.t-1)\n",
-    ],
-    ids=["gate-net", "input-pin"],
-)
-def test_a_chain_net_that_is_also_a_model_net_is_refused(text):
-    mcid = build_mcid(parse_netlist(text), RSFQ)
-    with pytest.raises(ItclError, match=re.escape("arrival buffer net d.itcl.t-1@t-1 is also a net of the model")):
-        apply_itcl(mcid, ArrivalSchedule.parse("d:1"))
-
-
-def test_a_chain_name_at_another_step_is_accepted():
-    text = "INPUT(a)\nINPUT(d)\nOUTPUT(o1)\nOUTPUT(d.itcl.t-1)\no1 = BUF(d)\nd.itcl.t-1 = INV(a)\n"
-    shifted = apply_itcl(build_mcid(parse_netlist(text), RSFQ), ArrivalSchedule.parse("d:1"))
-    outs = sorted(str(g.output) for g in shifted.gates)
-    assert outs == ["d.itcl.t-1@t-1", "d.itcl.t-1@t0", "o1@t0"]
+    assert dependency_window(shifted)["a"] == (-5,)
+    assert shifted.gate_count == mcid.gate_count
+    assert reads(shifted, "t2@t-3") == ["cD@t-4", "d@t-6"]
+    assert reads(shifted, "r1@t-4") == ["d@t-7"]
 
 
 def test_consumers_read_the_chain_not_the_pin():
     mcid = build_mcid(late_d_netlist(), RSFQ)
     shifted = apply_itcl(mcid, ArrivalSchedule.parse("d:1"))
-    t2 = next(g for g in shifted.gates if str(g.output) == "t2@t-3")
-    assert "d.itcl.t-4@t-4" in [str(s) for s in t2.inputs]
+    assert [str(p) for p in shifted.timed_inputs] == ["a@t-5", "b@t-5", "c@t-5", "d@t-6", "d@t-5"]
+    assert "d@t-5" in reads(shifted, "t2@t-3")
     pins = set(shifted.timed_inputs)
     for g in shifted.gates:
         for src in g.inputs:
