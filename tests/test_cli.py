@@ -414,24 +414,38 @@ def test_lateness_above_the_limit_is_a_config_error(work, capsys, command):
     assert code in (0, 1)
 
 
-def test_a_net_named_like_an_arrival_buffer_is_an_ordinary_net(work, capsys):
+@pytest.mark.parametrize(
+    "command, spec, code",
+    [
+        ("verify", "o1 = INV(a)\no2 = INV(a)\n", 1),
+        ("verify", "o1 = BUF(d)\no2 = INV(a)\n", 0),
+        ("build-mcid", None, 0),
+    ],
+    ids=["verify-inequivalent-spec", "verify-equivalent-spec", "build-mcid"],
+)
+def test_an_arrival_buffer_net_named_like_a_model_net_is_a_config_error(work, capsys, command, spec, code):
+    """It no longer is: apply_itcl builds no arrival buffer nets, so a net
+    named d.itcl.t-1 is an ordinary net and each command runs to its verdict."""
     clash = work / "clash.bench"
     clash.write_text(ITCL_CLASH_BENCH)
-    specs = {}
-    for name, body in (("wrong", "o1 = INV(a)\no2 = INV(a)\n"), ("right", "o1 = BUF(d)\no2 = INV(a)\n")):
-        specs[name] = work / f"{name}.bench"
-        specs[name].write_text("INPUT(a)\nINPUT(d)\nOUTPUT(o2)\nOUTPUT(o1)\n" + body)
+    if spec is None:
+        got, _, err = run(capsys, command, clash, "--arrivals", "d:1")
+        assert got == code and "mcid-gates 3" in err
+        return
+    spec_path = work / "clash_spec.bench"
+    spec_path.write_text("INPUT(a)\nINPUT(d)\nOUTPUT(o2)\nOUTPUT(o1)\n" + spec)
     trace = work / "clash.trace"
-    code, out, _ = run(capsys, "verify", clash, specs["wrong"], "--arrivals", "d:1", "--trace", trace)
-    assert code == 1 and "verdict inequivalent" in out
-    impl, wrong = parse_netlist(ITCL_CLASH_BENCH), parse_netlist(specs["wrong"].read_text())
+    got, out, _ = run(capsys, command, clash, spec_path, "--arrivals", "d:1", "--trace", trace)
+    assert got == code
+    if code == 0:
+        assert "verdict equivalent" in out
+        return
+    assert "verdict inequivalent" in out
+    impl, wrong = parse_netlist(ITCL_CLASH_BENCH), parse_netlist(spec_path.read_text())
     schedule = ArrivalSchedule.parse("d:1")
     verdict = verify(impl, wrong, schedule=schedule).verdict
     assert trace.read_text() == verdict.trace.format()
     assert replay_trace(impl, wrong, verdict.trace, schedule=schedule)
-    assert run(capsys, "verify", clash, specs["right"], "--arrivals", "d:1")[0] == 0
-    code, _, err = run(capsys, "build-mcid", clash, "--arrivals", "d:1")
-    assert code == 0 and "mcid-gates 3" in err
 
 
 def test_a_netlist_with_a_byte_order_mark_is_read(work, capsys):
