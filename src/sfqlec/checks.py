@@ -8,8 +8,7 @@ wave arrives on all its pins together) and one common depth across the
 primary outputs.
 """
 
-from typing import NamedTuple
-
+from .errors import Value
 from .netlist import Netlist, base_distances, count_readers
 from .profiles import TechnologyProfile
 
@@ -18,10 +17,11 @@ UNBALANCED_FANIN = "UnbalancedFanin"
 UNEQUAL_OUTPUT_DEPTH = "UnequalOutputDepth"
 
 
-class Violation(NamedTuple):
-    kind: str
-    location: str
-    detail: str
+class Violation(Value):
+    __slots__ = ("kind", "location", "detail")
+
+    def __init__(self, kind: str, location: str, detail: str):
+        self.kind, self.location, self.detail = kind, location, detail
 
     def line(self) -> str:
         return f"VIOLATION {self.kind} {self.location} {self.detail}"

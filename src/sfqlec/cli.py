@@ -75,7 +75,9 @@ def cmd_check_structure(args) -> int:
 def cmd_build_mcid(args) -> int:
     netlist = _load(args.netlist)
     profile = resolve_profile(args.profile)
-    mcid = apply_itcl(build_mcid(netlist, profile), ArrivalSchedule.parse(args.arrivals or ""))
+    schedule = ArrivalSchedule.parse(args.arrivals or "")
+    schedule.shifts(netlist.primary_inputs)  # a bad schedule fails before the unroll
+    mcid = apply_itcl(build_mcid(netlist, profile), schedule)
     bench = mcid.to_bench()
     if args.out:
         _write(args.out, bench)

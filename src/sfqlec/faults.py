@@ -7,9 +7,8 @@ rejects the netlist before any unrolling happens.
 """
 
 import random
-from typing import NamedTuple
 
-from .errors import SfqlecError
+from .errors import SfqlecError, Value
 from .netlist import Gate, Netlist, count_readers, logic_levels
 from .profiles import KINDS
 
@@ -23,10 +22,12 @@ class FaultError(SfqlecError):
     pass
 
 
-class FaultSpec(NamedTuple):
-    kind: str
-    target: str  # the faulted gate's output net in the original netlist
-    detail: str
+class FaultSpec(Value):
+    __slots__ = ("kind", "target", "detail")
+
+    def __init__(self, kind: str, target: str, detail: str):
+        self.kind, self.detail = kind, detail
+        self.target = target  # the faulted gate's output net in the original netlist
 
     def line(self) -> str:
         return f"FAULT {self.kind} {self.target} {self.detail}"

@@ -8,9 +8,7 @@ afterwards one wave of the specification corresponds to one matched step of
 the model.
 """
 
-from typing import NamedTuple
-
-from .errors import SfqlecError, parse_number
+from .errors import SfqlecError, Value, parse_number
 from .mcid import MCIDCircuit, TimedSignal, dependency_window
 from .netlist import Gate
 
@@ -26,8 +24,11 @@ class ItclError(SfqlecError):
     pass
 
 
-class ArrivalSchedule(NamedTuple):
-    lateness: dict[str, int] = {}  # PI -> cycles late; read, never written
+class ArrivalSchedule(Value):
+    __slots__ = ("lateness",)
+
+    def __init__(self, lateness: dict[str, int] = {}):  # one shared {}: read, never written
+        self.lateness = lateness  # PI -> cycles late
 
     @classmethod
     def parse(cls, text: str) -> "ArrivalSchedule":
@@ -90,9 +91,11 @@ def apply_itcl(mcid: MCIDCircuit, schedule: ArrivalSchedule) -> MCIDCircuit:
     )
 
 
-class InputMatching(NamedTuple):
-    t_star: int
-    matched: dict[str, TimedSignal]  # spec input name -> model pin
+class InputMatching(Value):
+    __slots__ = ("t_star", "matched")
+
+    def __init__(self, t_star: int, matched: dict[str, TimedSignal]):
+        self.t_star, self.matched = t_star, matched  # matched: spec input name -> model pin
 
 
 def match_inputs(mcid: MCIDCircuit, golden_pis: list[str]) -> InputMatching:

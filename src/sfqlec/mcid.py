@@ -29,13 +29,21 @@ class TimedSignal(NamedTuple):
         return f"{self.net}@t{self.step}"
 
 
-class MCIDCircuit(NamedTuple):
-    source_name: str
-    source_pis: tuple[str, ...]
-    gates: list[Gate]  # over TimedSignal nets; storage elements appear as BUF
-    timed_inputs: tuple[TimedSignal, ...]  # sorted: by net, then step
-    outputs: dict[str, TimedSignal]  # source PO name -> timed signal at step 0
-    duplicated_gate_count: int = 0  # unrolled gates beyond one per source gate
+class MCIDCircuit:
+    __slots__ = (
+        "source_name", "source_pis", "gates", "timed_inputs", "outputs", "duplicated_gate_count"
+    )
+
+    def __init__(
+        self, source_name: str, source_pis: tuple[str, ...], gates: list[Gate],
+        timed_inputs: tuple[TimedSignal, ...], outputs: dict[str, TimedSignal],
+        duplicated_gate_count: int = 0,  # unrolled gates beyond one per source gate
+    ):
+        self.source_name, self.source_pis = source_name, source_pis
+        self.gates = gates  # over TimedSignal nets; storage elements appear as BUF
+        self.timed_inputs = timed_inputs  # sorted: by net, then step
+        self.outputs = outputs  # source PO name -> timed signal at step 0
+        self.duplicated_gate_count = duplicated_gate_count
 
     @property
     def gate_count(self) -> int:

@@ -34,7 +34,6 @@ a cone over `_CANON_CAP` says "capped" unless all zeros set its root.
 """
 
 import random
-from typing import NamedTuple
 
 from .aig import Aig, FALSE, TRUE
 from .checks import CheckReport, check_fanout, check_path_balance
@@ -57,12 +56,15 @@ class MiterError(SfqlecError):
     pass
 
 
-class Miter(NamedTuple):
-    aig: Aig
-    root: int
-    outputs: dict[str, tuple[int, int, int]]  # po -> (impl, golden, differ) edges, spec order
-    matching: InputMatching
-    mcid: MCIDCircuit
+class Miter:
+    __slots__ = ("aig", "root", "outputs", "matching", "mcid")
+
+    def __init__(
+        self, aig: Aig, root: int, outputs: dict, matching: InputMatching, mcid: MCIDCircuit
+    ):
+        self.aig, self.root = aig, root
+        self.outputs = outputs  # po -> (impl, golden, differ) edges, spec order
+        self.matching, self.mcid = matching, mcid
 
 
 class VerdictStats:
@@ -80,19 +82,28 @@ class VerdictStats:
         self.trace_canonical = ""  # "yes", "capped" or "budget" when there is a trace
 
 
-class Verdict(NamedTuple):
-    equivalent: bool | None  # None = gave up under a solver limit
-    trace: TimedTrace | None
-    stats: VerdictStats
-    per_output: dict[str, bool | None] | None = None
+class Verdict:
+    __slots__ = ("equivalent", "trace", "stats", "per_output")
+
+    def __init__(
+        self, equivalent: bool | None, trace: TimedTrace | None, stats: VerdictStats,
+        per_output: dict[str, bool | None] | None = None,
+    ):
+        self.equivalent = equivalent  # None = gave up under a solver limit
+        self.trace, self.stats, self.per_output = trace, stats, per_output
 
 
-class Run(NamedTuple):
+class Run:
     """What `verify` found; a failed fanout check leaves the rest None."""
-    fanout: CheckReport
-    balance: CheckReport | None = None
-    miter: Miter | None = None  # with the model and the input matching
-    verdict: Verdict | None = None
+
+    __slots__ = ("fanout", "balance", "miter", "verdict")
+
+    def __init__(
+        self, fanout: CheckReport, balance: CheckReport | None = None,
+        miter: Miter | None = None, verdict: Verdict | None = None,
+    ):
+        self.fanout, self.balance = fanout, balance
+        self.miter, self.verdict = miter, verdict  # miter: with the model and the input matching
 
 
 def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:

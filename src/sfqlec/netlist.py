@@ -59,9 +59,11 @@ class Gate(NamedTuple):
 # Names: letters/underscore first, then the bench charset plus '@' and '-'
 # so that timed-model dumps ("a@t-1") stay re-parseable.
 _NAME = r"[A-Za-z_][A-Za-z0-9_.@-]*"
-_NAME_RE = re.compile(rf"^{_NAME}$")
-_IO_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$", re.IGNORECASE)
-_GATE_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z0-9_]+)\s*\((.*)\)$")
+_IO_RE = re.compile(rf"^(?i:(INPUT|OUTPUT))\s*\(\s*({_NAME})\s*\)$")  # case-blind keyword only
+# Only an error is worded with these two: `re.match` compiles them (and
+# caches them) when one is.
+_NAME_ONLY = rf"^{_NAME}$"
+_GATE = rf"^({_NAME})\s*=\s*([A-Za-z0-9_]+)\s*\((.*)\)$"
 # A whole, well-formed one- or two-input gate line, comment included.  A gate
 # line it rejects is malformed or a second driver; the checks below say which.
 # A kind with three inputs would have to extend it.
@@ -191,7 +193,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
                 seen_pos.add(net)
                 pos.append(net)
             continue
-        m = _GATE_RE.match(line)
+        m = re.match(_GATE, line)
         if m:
             out, kind_name, arg_text = m.group(1), m.group(2), m.group(3)
             try:
@@ -200,7 +202,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
                 raise BenchParseError(line_no, str(exc)) from None
             args = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
             for a in args:
-                if not _NAME_RE.match(a):
+                if not re.match(_NAME_ONLY, a):
                     raise BenchParseError(line_no, f"bad net name {a!r}")
             if len(args) != kind.arity:
                 raise BenchParseError(

@@ -17,9 +17,8 @@ Built-ins:
 
 from collections.abc import Callable
 import operator
-from typing import NamedTuple
 
-from .errors import SfqlecError, parse_number
+from .errors import SfqlecError, Value, parse_number
 
 
 class GateKind:
@@ -75,13 +74,22 @@ class ProfileError(SfqlecError):
     pass
 
 
-class TechnologyProfile(NamedTuple):
-    name: str
-    default_fanout_limit: int
-    splitter_fanout_limit: int
-    non_clocked_kinds: frozenset[str]
-    requires_path_balancing: bool
-    requires_fanout_check: bool
+class TechnologyProfile(Value):
+    __slots__ = (
+        "name", "default_fanout_limit", "splitter_fanout_limit", "non_clocked_kinds",
+        "requires_path_balancing", "requires_fanout_check",
+    )
+
+    def __init__(
+        self, name: str, default_fanout_limit: int, splitter_fanout_limit: int,
+        non_clocked_kinds: frozenset[str], requires_path_balancing: bool,
+        requires_fanout_check: bool,
+    ):
+        self.name, self.non_clocked_kinds = name, non_clocked_kinds
+        self.default_fanout_limit = default_fanout_limit
+        self.splitter_fanout_limit = splitter_fanout_limit
+        self.requires_path_balancing = requires_path_balancing
+        self.requires_fanout_check = requires_fanout_check
 
     def validate(self) -> None:
         if not self.name:

@@ -44,13 +44,16 @@ a scan of all free variables would make.
 
 import time
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
+
+from .errors import Value
 
 
-class Cnf(NamedTuple):
-    num_vars: int
-    clauses: list[tuple[int, ...]]
-    input_vars: dict  # label -> dimacs var, in variable order
+class Cnf(Value):
+    __slots__ = ("num_vars", "clauses", "input_vars")
+
+    def __init__(self, num_vars: int, clauses: list[tuple[int, ...]], input_vars: dict):
+        self.num_vars, self.clauses = num_vars, clauses
+        self.input_vars = input_vars  # label -> dimacs var, in variable order
 
 
 class Tseitin:

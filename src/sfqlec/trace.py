@@ -6,7 +6,7 @@ one output.  Cycle 0 is the earliest wave in the model's dependency window;
 the output is observed `observation_cycle` waves later.
 """
 
-from typing import NamedTuple
+from .errors import Value
 
 
 def format_wave(wave: dict[str, int], order) -> str:
@@ -14,15 +14,22 @@ def format_wave(wave: dict[str, int], order) -> str:
     return " ".join(f"{pi}={wave.get(pi, 0)}" for pi in order)
 
 
-class TimedTrace(NamedTuple):
-    pi_order: tuple[str, ...]
-    n_cycles: int
-    timed_assignment: dict[tuple[str, int], int]  # (pi, cycle) -> bit
-    golden_assignment: dict[str, int]
-    output_name: str
-    mcid_output: int
-    golden_output: int
-    observation_cycle: int  # cycle index the model's step 0 falls on
+class TimedTrace(Value):
+    __slots__ = (
+        "pi_order", "n_cycles", "timed_assignment", "golden_assignment",
+        "output_name", "mcid_output", "golden_output", "observation_cycle",
+    )
+
+    def __init__(
+        self, pi_order: tuple[str, ...], n_cycles: int,
+        timed_assignment: dict[tuple[str, int], int], golden_assignment: dict[str, int],
+        output_name: str, mcid_output: int, golden_output: int, observation_cycle: int,
+    ):
+        self.pi_order, self.n_cycles = pi_order, n_cycles
+        self.timed_assignment = timed_assignment  # (pi, cycle) -> bit
+        self.golden_assignment, self.output_name = golden_assignment, output_name
+        self.mcid_output, self.golden_output = mcid_output, golden_output
+        self.observation_cycle = observation_cycle  # cycle index the model's step 0 falls on
 
     @classmethod
     def from_model(cls, mcid, matching, model: dict, output: str, bits: tuple[int, int]):

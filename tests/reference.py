@@ -57,7 +57,7 @@ from sfqlec.trace import TimedTrace
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.@-]*"
 _NAME_RE = re.compile(rf"^{_NAME}$")
-_IO_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$", re.IGNORECASE)
+_IO_RE = re.compile(rf"^(?i:(INPUT|OUTPUT))\s*\(\s*({_NAME})\s*\)$")
 _GATE_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z0-9_]+)\s*\((.*)\)$")
 
 

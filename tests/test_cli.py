@@ -24,6 +24,7 @@ from sfqlec import (
     verify,
     write_netlist,
 )
+from sfqlec import cli
 from sfqlec.cli import main
 from sfqlec.itcl import MAX_LATENESS
 
@@ -381,7 +382,7 @@ def test_bad_arrivals_are_a_config_error(work, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize(
+bad_arrivals = pytest.mark.parametrize(
     "arrivals, message",
     [
         ("d:x", "bad arrival entry 'd:x', expected name:cycles"),
@@ -391,9 +392,22 @@ def test_bad_arrivals_are_a_config_error(work, capsys):
     ],
     ids=["not-a-number", "unknown-input", "above-limit", "negative"],
 )
+
+
+@bad_arrivals
 def test_bad_arrivals_are_reported_before_a_fanout_rejection(work, capsys, arrivals, message):
     faulty = bypass_dsp(work, capsys)
     got = run(capsys, "verify", faulty, work / "late_d_golden.bench", "--arrivals", arrivals)
+    assert got == (2, "", f"error: {message}\n")
+
+
+@bad_arrivals
+def test_bad_arrivals_are_reported_before_build_mcid_unrolls(work, capsys, monkeypatch, arrivals, message):
+    def unroll(*args):
+        raise AssertionError("build_mcid ran before the schedule was checked")
+
+    monkeypatch.setattr(cli, "build_mcid", unroll)
+    got = run(capsys, "build-mcid", work / "late_d.bench", "--arrivals", arrivals)
     assert got == (2, "", f"error: {message}\n")
 
 
@@ -641,6 +655,29 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     ).stdout.split()
     assert "sfqlec.cli" in loaded
     assert not {"dataclasses", "inspect"}.intersection(loaded), loaded
+
+
+FIELDS_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import sfqlec.cli
+for name, module in list(sys.modules.items()):
+    if name.split(".")[0] == "sfqlec":
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == name and hasattr(value, "_fields"):
+                print(value.__name__)
+"""
+
+
+def test_importing_the_cli_builds_only_the_three_tuple_records():
+    """Each `typing.NamedTuple` class costs a code generation at import;
+    only the records that hot loops build as tuples are NamedTuples."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    built = subprocess.run(
+        [sys.executable, "-I", "-c", FIELDS_PROBE, os.path.abspath(src)],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert sorted(built) == ["BaseDistanceSet", "Gate", "TimedSignal"]
 
 
 def test_the_package_runs_as_a_module_from_a_checkout():

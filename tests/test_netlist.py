@@ -41,6 +41,16 @@ def test_parse_is_case_insensitive_on_kinds():
     assert net.driver_of["y"].kind.name == "INV"
 
 
+def test_declarations_ignore_case_on_the_keyword_only():
+    net = parse_netlist("input(a)\nOutput( y )\ny = INV(a)\n")
+    assert (net.primary_inputs, net.primary_outputs) == (("a",), ("y",))
+    # A declared name is ASCII, as everywhere else: the Kelvin sign, the long
+    # s and the dotless i match [A-Za-z] only under a case-insensitive match.
+    for name in ("\u212a", "a\u017f", "\u0131"):
+        with pytest.raises(BenchParseError, match="line 1: cannot parse"):
+            parse_netlist(f"INPUT({name})\nOUTPUT({name})\n")
+
+
 def test_roundtrip_through_bench_text():
     for seed in range(25):
         rng = random.Random(seed)
