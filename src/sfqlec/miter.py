@@ -10,9 +10,10 @@ for an easy disagreement, and the sweep's signatures start from them all.
 
 What simulation leaves open is SAT-swept (Mishchenko, Chatterjee, Jiang,
 Brayton, "FRAIGs", 2005; Mishchenko et al., "Improvements to Combinational
-Equivalence Checking", ICCAD 2006) on one incremental solver; see `_Sweep`.
-In node order, each node of the open roots' cones is rebuilt in a fresh
-strashed graph and proved equal to the first node of its simulation class
+Equivalence Checking", ICCAD 2006) on one incremental solver, across the
+two designs only; see `_Sweep`.  In node order, each node of the open
+roots' cones is rebuilt in a fresh strashed graph, and each golden node
+is proved equal to the lowest implementation node of its simulation class
 under assumptions; only a solver "unsat" merges a pair.  A root whose
 rebuilt edge is constant FALSE is equivalent (method "sweep"); any other
 is decided by one final solve of its rebuilt edge (method "sat").
@@ -57,12 +58,14 @@ class MiterError(SfqlecError):
 
 
 class Miter:
-    __slots__ = ("aig", "root", "outputs", "matching", "mcid")
+    __slots__ = ("aig", "golden_start", "root", "outputs", "matching", "mcid")
 
     def __init__(
-        self, aig: Aig, root: int, outputs: dict, matching: InputMatching, mcid: MCIDCircuit
+        self, aig: Aig, golden_start: int, root: int, outputs: dict, matching: InputMatching,
+        mcid: MCIDCircuit,
     ):
         self.aig, self.root = aig, root
+        self.golden_start = golden_start  # nodes below it are the implementation's
         self.outputs = outputs  # po -> (impl, golden, differ) edges, spec order
         self.matching, self.mcid = matching, mcid
 
@@ -128,6 +131,7 @@ def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:
         else:
             edge[out] = kind.meaning(aig, *[edge[i] for i in ins])
     gold = {pi: edge[matching.matched[pi]] for pi in golden.primary_inputs}
+    golden_start = len(aig.nodes)
     for g in golden.order:
         gold[g.output] = g.kind.meaning(aig, *[gold[i] for i in g.inputs])
 
@@ -139,7 +143,7 @@ def build_miter(mcid: MCIDCircuit, golden: Netlist) -> Miter:
         xe = aig.xor_(ie, ge)
         outputs[po] = (ie, ge, xe)
         root = aig.or_(root, xe)
-    return Miter(aig, root, outputs, matching, mcid)
+    return Miter(aig, golden_start, root, outputs, matching, mcid)
 
 
 def _lex_min_model(aig: Aig, root: int, model: dict, stats: VerdictStats, budget: Budget) -> dict:
@@ -200,25 +204,33 @@ def _settle(aig: Aig, root: int, hit: int, words: dict, stats: VerdictStats):
 
 
 class _Sweep:
-    """SAT sweeping of the cones of some miter roots on one solver.
+    """SAT sweeping of the cones of some miter roots on one solver, across
+    the two designs only (Kuehlmann & Krohm, "Equivalence Checking Using
+    Cuts and Heaps", DAC 1997).
 
     Nodes whose values under `words`, the patterns simulation drew
     (`_patterns`), agree up to complement share a class id; a node's phase
-    (bit 0 of its value) says which side it is on.  Each class is headed
-    by its lowest node.  In node order each node is rebuilt, through
-    `Aig.and_`, in a fresh graph (the fraig) from its fanins' fraig edges,
-    and proved equal to its head's edge, complemented when their phases
-    differ, by two solver calls under assumptions, each capped at
-    `_PAIR_CONFLICTS` conflicts inside the decide-phase budget.  A proved
-    pair is merged: its two clauses go in at level 0 and the node takes
-    the head's edge, so structural hashing merges what is built on it.  A
-    call that gives up leaves the node unmerged.  A refuting model and its
-    distance-1 neighbours split the classes by id (`_refine`).  Fraig
+    (bit 0 of its value) says which side it is on.  Nodes below
+    `golden_start` are the implementation's, the constant among them, and
+    each class is headed by its lowest implementation node in the cones.
+    In node order each node is rebuilt, through `Aig.and_`, in a fresh
+    graph (the fraig) from its fanins' fraig edges.  An implementation
+    node is kept as rebuilt; a golden node is proved equal to its head's
+    edge, complemented when their phases differ, by two solver calls under
+    assumptions, each capped at `_PAIR_CONFLICTS` conflicts inside the
+    decide-phase budget.  A proved pair is merged: its two clauses go in at
+    level 0 and the node takes the head's edge, so structural hashing
+    merges what is built on it.  A call that gives up, or a class with no
+    implementation node, leaves the node unmerged.  A refuting model and
+    its distance-1 neighbours split the classes by id (`_refine`).  Fraig
     nodes are Tseitin-encoded into the solver when first needed.
     """
 
-    def __init__(self, aig: Aig, roots: list[int], words: dict, stats: VerdictStats, budget: Budget):
-        self.aig, self.stats, self.budget = aig, stats, budget
+    def __init__(
+        self, aig: Aig, golden_start: int, roots: list[int], words: dict, stats: VerdictStats,
+        budget: Budget,
+    ):
+        self.aig, self.golden_start, self.stats, self.budget = aig, golden_start, stats, budget
         self.fraig = Aig()
         solver = self.solver = CdclSolver()
 
@@ -236,40 +248,45 @@ class _Sweep:
         self.edge = {0: TRUE}  # original node -> fraig edge
         stats.sweep_proved = stats.sweep_refuted = 0
         ins, ands = aig.cone(roots)
+        order = sorted(ins + ands)
+        # the implementation nodes that may still head a golden node's class
+        self.impl = [0] + [n for n in order if n < golden_start]
+        self.heads: dict = {}  # class id -> lowest implementation node of its class
+        for n in self.impl:
+            self.heads.setdefault(self.ids[n], n)
         del sig, ids  # every node's full word: free them before the sweep runs
-        self._run(sorted(ins + ands))
+        self._run(order)
 
     def _run(self, order: list[int]) -> None:
-        aig, fraig, edge, phase = self.aig, self.fraig, self.edge, self.phase
-        heads = {self.ids[0]: 0}  # class id -> first node of its class
-        for n in order:
+        aig, fraig, edge, phase, gs = self.aig, self.fraig, self.edge, self.phase, self.golden_start
+        for j, n in enumerate(order):
             node = aig.nodes[n]
             if node[0] == "in":
                 e = fraig.input_(node[1])
             else:
                 a, b = node[1], node[2]
                 e = fraig.and_(edge[a >> 1] ^ (a & 1), edge[b >> 1] ^ (b & 1))
-            while True:
-                r = heads.setdefault(self.ids[n], n)
-                if r == n:
+            while n >= gs:
+                r = self.heads.get(self.ids[n])
+                if r is None:
                     break
                 want = edge[r] ^ phase[n] ^ phase[r]
                 if e == want:
                     break
-                status = self._prove(e, want)
+                status, model = self._prove(e, want)
                 if status == "unsat":
                     e = want
                 if status != "sat":
                     break
-                heads = {self.ids[h]: h for h in heads.values()}
+                self._refine(model, order[j:])
             edge[n] = e
 
-    def _prove(self, e: int, want: int) -> str:
-        """Try to prove a node's fraig edge `e` equal to `want`, its class
-        head's: "unsat" merges them, "sat" splits the class, "unknown"
-        gives up."""
+    def _prove(self, e: int, want: int) -> tuple:
+        """(status, refuting model or None) of trying to prove a golden
+        node's fraig edge `e` equal to `want`, its class head's: "unsat"
+        merges them, "sat" splits the class, "unknown" gives up."""
         if self.budget.exhausted():
-            return "unknown"
+            return "unknown", None
         lit = self.enc.lit
         if want >> 1 == 0:
             queries = [[lit(e ^ want ^ 1)]]
@@ -280,18 +297,22 @@ class _Sweep:
             status, model = self.solver.solve(q, self.budget, _PAIR_CONFLICTS)
             if status == "sat":
                 self.stats.sweep_refuted += 1
-                self._refine(model)
             if status != "unsat":
-                return status
+                return status, model
         for q in queries:
             self.enc.emit([-l for l in q])
         self.stats.sweep_proved += 1
-        return "unsat"
+        return "unsat", None
 
-    def _refine(self, model: dict) -> None:
+    def _refine(self, model: dict, golden: list[int]) -> None:
         """Split the classes by a refuting model (bit 0) and its distance-1
-        neighbours (bit j flips the j-th input): each node's next id interns
-        its id and its word under them, complemented when its phase is 1."""
+        neighbours (bit j flips the j-th input).  Only the golden nodes not
+        yet swept, `golden`, and the implementation nodes that may head
+        their classes read their id again: each interns its id and its
+        word under them, complemented when its phase is 1, as its next id.
+        In node order the first node to claim an id heads its class if it
+        is the implementation's.  An implementation node whose class holds
+        none of `golden` is dropped for good: no split joins classes."""
         mask = (1 << len(self.labels) + 1) - 1
         words = {}
         for j, lbl in enumerate(self.labels, 1):
@@ -299,10 +320,15 @@ class _Sweep:
             words[lbl] = (mask if v and model[v] else 0) ^ (1 << j)
         new = self.aig.simulate(words, mask)
         ids: dict = {}
-        self.ids = [
-            ids.setdefault((i, w ^ mask if p else w), len(ids))
-            for i, w, p in zip(self.ids, new, self.phase)
-        ]
+        heads, cur, phase, gs = {}, self.ids, self.phase, self.golden_start
+        for n in self.impl + golden:
+            w, fresh = new[n], len(ids)
+            i = cur[n] = ids.setdefault((cur[n], w ^ mask if phase[n] else w), fresh)
+            if i == fresh and n < gs:
+                heads[i] = n
+        self.heads = heads
+        live = {cur[n] for n in golden}
+        self.impl = [n for n in self.impl if cur[n] in live]
 
     def decide(self, root: int):
         """(equivalent or None, distinguishing model or None, (fraig, edge)
@@ -353,7 +379,9 @@ def check_equivalence(
     hit = dict(zip(live, sim))
     found = {po: _settle(aig, root, hit.get(root), words, stats) for po, root in roots.items()}
     open_roots = [root for po, root in roots.items() if found[po] is None]
-    sweep = _Sweep(aig, open_roots, words, stats, budget) if open_roots else None
+    sweep = None
+    if open_roots:
+        sweep = _Sweep(aig, miter.golden_start, open_roots, words, stats, budget)
     per: dict[str, bool | None] = {}
     witness = None
     for po, root in roots.items():

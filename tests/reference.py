@@ -292,6 +292,7 @@ def build_miter(mcid, golden) -> miter.Miter:
     for g in mcid.gates:
         edge[g.output] = g.kind.meaning(aig, *[edge[i] for i in g.inputs])
     gold = {pi: edge[matching.matched[pi]] for pi in golden.primary_inputs}
+    golden_start = len(aig.nodes)
     for g in golden.order:
         gold[g.output] = g.kind.meaning(aig, *[gold[i] for i in g.inputs])
     outputs, root = {}, FALSE
@@ -300,7 +301,7 @@ def build_miter(mcid, golden) -> miter.Miter:
         xe = aig.xor_(ie, ge)
         outputs[po] = (ie, ge, xe)
         root = aig.or_(root, xe)
-    return miter.Miter(aig, root, outputs, matching, mcid)
+    return miter.Miter(aig, golden_start, root, outputs, matching, mcid)
 
 
 def simulation_witness(aig, root: int, seed, rounds: int = 8, width: int = 64):

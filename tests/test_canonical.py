@@ -369,10 +369,10 @@ def test_report_says_how_the_trace_was_reached(tmp_path, capsys):
     code, lines = verify_lines(tmp_path, capsys, LATE_D_BENCH, LATE_D_GOLDEN_BENCH, "--arrivals", "d:1")
     assert code == 0
     assert lines[-5:] == [
-        "conflicts 1",
-        "propagations 12",
+        "conflicts 2",
+        "propagations 33",
         "canon-sat-calls 0",
-        "sweep-proved 1",
+        "sweep-proved 2",
         "sweep-refuted 0",
     ]
 

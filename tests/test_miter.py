@@ -26,6 +26,8 @@ from gen import (
 )
 from sfqlec import (
     ArrivalSchedule,
+    Gate,
+    Netlist,
     build_mcid,
     build_miter,
     builtin_profile,
@@ -213,8 +215,86 @@ def test_sweep_partition_is_pinned():
     thousands of patterns to the first 1,024."""
     impl, _ = inject(sfqify(kogge_stone_adder(64)), "swap-gate", seed=1)
     s = verify(impl, ripple_adder(64)).verdict.stats
-    assert (s.method, s.conflicts, s.decisions, s.propagations) == ("sweep", 851, 10314, 240988)
-    assert (s.sweep_proved, s.sweep_refuted, s.cnf_vars, s.cnf_clauses) == (64, 103, 1539, 4357)
+    assert (s.method, s.conflicts, s.decisions, s.propagations) == ("sweep", 837, 8132, 206535)
+    assert (s.sweep_proved, s.sweep_refuted, s.cnf_vars, s.cnf_clauses) == (63, 43, 1540, 4359)
+
+
+@pytest.mark.parametrize(
+    "impl, spec", [(kogge_stone_adder, ripple_adder), (ripple_adder, kogge_stone_adder)]
+)
+def test_sweep_proves_golden_nodes_against_implementation_heads(impl, spec, monkeypatch):
+    """Every query pairs the golden node being swept (the first cone node
+    without a fraig edge) with its class head, an implementation node or
+    the constant, and every split re-picks only such heads.  A Kogge-Stone
+    spec has prefix nodes no implementation node shares a class with."""
+    miter = make_miter(sfqify(impl(16)), spec(16))
+    ins, ands = miter.aig.cone([miter.root])
+    order = sorted(ins + ands)
+    calls = []
+    prove, refine = miter_module._Sweep._prove, miter_module._Sweep._refine
+
+    def recording(self, e, want):
+        n = next(m for m in order if m not in self.edge)
+        r = self.heads[self.ids[n]]
+        assert want == self.edge[r] ^ self.phase[n] ^ self.phase[r]
+        calls.append((n, r))
+        return prove(self, e, want)
+
+    def refining(self, model, golden):
+        refine(self, model, golden)
+        assert max(self.heads.values()) < miter.golden_start
+
+    monkeypatch.setattr(miter_module._Sweep, "_prove", recording)
+    monkeypatch.setattr(miter_module._Sweep, "_refine", refining)
+    verdict = check_equivalence(miter)
+    assert verdict.equivalent is True and verdict.stats.method == "sweep"
+    assert verdict.stats.sweep_refuted > 0  # the heads were re-picked after a split
+    assert len(calls) >= verdict.stats.sweep_proved + verdict.stats.sweep_refuted
+    assert all(n >= miter.golden_start > r for n, r in calls)
+
+
+def parity_twice():
+    """(impl, spec): one parity output computed twice, `y0` in
+    `parity_pair`'s XOR shape and `n_y0` in its NAND shape, and a spec that
+    reads both as the XOR chain."""
+    xor, nand = parity_pair(n_outputs=1)
+    pis = tuple(p for p in xor.primary_inputs if any(p in g.inputs for g in xor.gates))
+
+    def copy(netlist, tag):
+        name = lambda net: net if net in pis else tag + net
+        return [Gate(g.kind, tuple(map(name, g.inputs)), name(g.output)) for g in netlist.gates]
+
+    outs = ("y0", "n_y0")
+    impl = Netlist("twice", pis, outs, tuple(copy(xor, "") + copy(nand, "n_")))
+    spec = Netlist("spec", pis, outs, tuple(copy(xor, "") + copy(xor, "n_")))
+    return sfqify(impl), spec
+
+
+def test_duplicated_implementation_logic_needs_no_in_design_merge(monkeypatch):
+    """The sweep never queries the implementation's two parity shapes
+    against each other; the spec's nodes are proved against them, and a
+    fault in the NAND shape gets the lex-min trace of the miter's own cone."""
+    impl, spec = parity_twice()
+    for per_output in (False, True):
+        verdict = verify(impl, spec, per_output=per_output).verdict
+        assert verdict.equivalent is True
+    witnesses = []
+    lex_min = miter_module._lex_min_model
+
+    def recording(aig, root, model, *args):
+        witnesses.append(model)
+        return lex_min(aig, root, model, *args)
+
+    monkeypatch.setattr(miter_module, "_lex_min_model", recording)
+    faulty, fault = inject(impl, "swap-gate", seed=0)
+    assert fault.target.startswith("n_")
+    miter = make_miter(faulty, spec)
+    verdict = check_equivalence(miter)
+    assert verdict.equivalent is False and verdict.stats.canon_sat_calls == 1
+    (witness,) = witnesses
+    model = reference.lex_min_model(miter.aig, miter.root, witness, VerdictStats(), Budget())
+    assert verdict.trace == extract_trace(miter, model)
+    assert replay_trace(faulty, spec, verdict.trace, RSFQ)
 
 
 def test_sweep_memory_does_not_grow_with_its_refutations():

@@ -49,7 +49,7 @@ FIELDS = {
         "output_name", "mcid_output", "golden_output", "observation_cycle",
     ),
     MCIDCircuit: ("source_name", "source_pis", "gates", "timed_inputs", "outputs", "duplicated_gate_count"),
-    Miter: ("aig", "root", "outputs", "matching", "mcid"),
+    Miter: ("aig", "golden_start", "root", "outputs", "matching", "mcid"),
     Verdict: ("equivalent", "trace", "stats", "per_output"),
     Run: ("fanout", "balance", "miter", "verdict"),
 }
@@ -122,7 +122,7 @@ def test_pipeline_records_compare_by_identity():
     stats, report = VerdictStats(), CheckReport()
     for make in (
         lambda: MCIDCircuit("m", ("a",), [], (), {}),
-        lambda: Miter(None, 0, {}, None, None),
+        lambda: Miter(None, 0, 0, {}, None, None),
         lambda: Verdict(True, None, stats),
         lambda: Run(report),
     ):

@@ -52,13 +52,13 @@ matched-step -5
 verdict equivalent
 method sweep
 aig-nodes 14
-cnf-vars 10
-cnf-clauses 17
+cnf-vars 12
+cnf-clauses 25
 decisions 0
-conflicts 1
-propagations 12
+conflicts 2
+propagations 33
 canon-sat-calls 0
-sweep-proved 1
+sweep-proved 2
 sweep-refuted 0
 """
 
@@ -178,9 +178,13 @@ def test_real_size_front_end_outputs_are_pinned(tmp_path, capsys):
 # (decided by the sweep) and for its `remove-dff --seed 0` fault (decided by
 # the final solve, with a canonical trace).  The fault's pin was regenerated
 # when canonicalization became one solver call: `canon-sat-calls` 17 -> 1,
-# the same CNF and trace.
-KS16_SWEEP_CNF_SHA256 = "6d72604b746ef396d4bf26b52a1e7828a1ca1103a32c8cc8abb1e306e611e6ba"
-KS16_NODFF_CNF_SHA256 = "18bc51c6026a094165f366e7fec21abcbabf0eb3925d0a06af4905893cf86208"
+# the same CNF and trace.  Both were regenerated when the sweep began to
+# prove golden nodes against implementation nodes only: the CNF, the
+# verdicts and the trace did not change, the solver counters did
+# (decisions, conflicts, propagations and sweep-refuted 461/133/9,725/7
+# -> 444/120/8,254/3 and 717/137/10,887/9 -> 515/114/8,152/3).
+KS16_SWEEP_CNF_SHA256 = "ecc5be2093824484b5bd494b6ec0e44b86b8d3150bcd261e66a27254a605e947"
+KS16_NODFF_CNF_SHA256 = "e3077faebb31fe6dc53d8b431f03ba889ad509b7fc8a6ab0512e291515de36a2"
 
 
 def test_swept_adder_reports_and_cnf_are_pinned(tmp_path, capsys):
@@ -204,8 +208,10 @@ def test_swept_adder_reports_and_cnf_are_pinned(tmp_path, capsys):
 # share one pattern draw: s3's simulation witness changed, and with it
 # `canon-sat-calls` (1 before, 2 now); the verdicts and the trace did not.
 # Regenerated again when canonicalization became one solver call
-# (`canon-sat-calls` 2 -> 1).
-KS16_SWAP2_PER_OUTPUT_SHA256 = "8b90209a4c2418194b7a6e1e8cd5b8d460f7b624914c17ee7b78a5310220fd32"
+# (`canon-sat-calls` 2 -> 1), and when the sweep began to prove golden
+# nodes against implementation nodes only (decisions, conflicts,
+# propagations and sweep-refuted 489/157/11,607/7 -> 408/119/8,312/3).
+KS16_SWAP2_PER_OUTPUT_SHA256 = "8549cb78a7dffc7e8d4ed50a531189b163da1d47c344430dd042d5afec997e6e"
 
 
 def test_mixed_per_output_report_is_pinned(tmp_path, capsys):
