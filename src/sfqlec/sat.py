@@ -34,12 +34,14 @@ only the conflict level (Nadel & Ryvchin, "Chronological Backtracking", SAT
 being made again, and its trail leaves level order.
 
 Decisions come from a `heapq` list of int keys `-activity << 32 | var`,
-so the smallest key is the highest activity, then the lowest index.
-Entries are lazy: a bump pushes a fresh key and leaves the old one stale,
-a pop drops stale keys and assigned variables, backtracking pushes a freed
-variable back, and halving the activities rebuilds the list.  Every free
-variable has a key at its current activity, so every decision is the one
-a scan of all free variables would make.
+so the smallest key is the highest activity, then the lowest index.  A
+conflict bumps its variables' activities by `inc`, which then grows by
+1/32, so older bumps fade (MiniSat's decay); at 2^24, every activity and
+`inc` shift right by 16 and the list is rebuilt.  Entries are lazy: a bump
+pushes a fresh key and leaves the old one stale, a pop drops stale keys
+and assigned variables, and backtracking pushes a freed variable back.
+Every free variable has a key at its current activity, so every decision
+is the one a scan of all free variables would make.
 """
 
 import time
@@ -59,7 +61,7 @@ class Cnf(Value):
 class Tseitin:
     """Tseitin encoding of an AIG: `lit(edge)` is an edge's literal.
     A node's first use numbers it and every unnumbered node below it, fanins
-    first, from 1 up, and hands each and-node's three clauses to `emit`."""
+    first, from 1 up; `emit` gets each and-node's three clauses and a unit making node 0 TRUE."""
 
     def __init__(self, aig, emit=None):
         self.aig, self.emit = aig, emit
@@ -89,6 +91,8 @@ class Tseitin:
                 la, lb = -va if a & 1 else va, -vb if b & 1 else vb
                 for clause in ((-v, la), (-v, lb), (v, -la, -lb)):
                     emit(clause)
+            else:
+                emit((v,))
         v = var[edge >> 1]
         return -v if edge & 1 else v
 
@@ -179,7 +183,7 @@ class SolverStats:
 class CdclSolver:
     """Conflict-driven clause learning over two watched literals.
 
-    1-UIP learning, additive activity bumps with periodic halving, phase
+    1-UIP learning, decaying activities (a growing bump), phase
     saving, decisions from a lazy `heapq` order keyed `-activity << 32 |
     var` once a call's `lex` variables are set, and backjumping over true
     levels, one level at a time in a call with `lex`.
@@ -195,6 +199,7 @@ class CdclSolver:
         self.level = [0]
         self.reason: list = [None]
         self.activity = [0]
+        self.inc = 1 << 8  # the next bump, in [2^8, 2^24)
         self.phase = [False]
         self.order: list[int] = []  # heapq of -activity << 32 | var, some stale
         self.queued = [False]  # var -> has a key at its current activity
@@ -343,7 +348,7 @@ class CdclSolver:
         clause, which in a lex call may be below the current level: the
         learned clause, UIP first, and its asserting level."""
         trail, level = self.trail, self.level
-        activity, queued, order = self.activity, self.queued, self.order
+        activity, queued, order, inc = self.activity, self.queued, self.order, self.inc
         learnt: list[int] = []
         seen = set()
         counter = 0
@@ -354,7 +359,7 @@ class CdclSolver:
                 v = abs(q)
                 if v not in seen and level[v] > 0:
                     seen.add(v)
-                    activity[v] += 1
+                    activity[v] += inc
                     if queued[v]:  # a fresh key; the old one goes stale
                         heappush(order, -activity[v] << 32 | v)
                     if level[v] >= cur:
@@ -453,8 +458,10 @@ class CdclSolver:
                 li = 0
                 self._enqueue(learnt[0], None if len(learnt) == 1 else self._attach(learnt), lvl)
                 self.stats.learned += 1
-                if self.stats.conflicts % 256 == 0:
-                    act = self.activity = [a >> 1 for a in self.activity]
+                self.inc += self.inc >> 5
+                if self.inc >= 1 << 24:
+                    self.inc >>= 16
+                    act = self.activity = [a >> 16 for a in self.activity]
                     self.order = [-a << 32 | v for v, a in enumerate(act) if self.queued[v]]
                     heapify(self.order)  # with every stale key dropped
             elif len(self.trail_lim) < len(assumptions):

@@ -215,8 +215,8 @@ def test_sweep_partition_is_pinned():
     thousands of patterns to the first 1,024."""
     impl, _ = inject(sfqify(kogge_stone_adder(64)), "swap-gate", seed=1)
     s = verify(impl, ripple_adder(64)).verdict.stats
-    assert (s.method, s.conflicts, s.decisions, s.propagations) == ("sweep", 837, 8132, 206535)
-    assert (s.sweep_proved, s.sweep_refuted, s.cnf_vars, s.cnf_clauses) == (63, 43, 1540, 4359)
+    assert (s.method, s.conflicts, s.decisions, s.propagations) == ("sweep", 617, 3180, 117086)
+    assert (s.sweep_proved, s.sweep_refuted, s.cnf_vars, s.cnf_clauses) == (63, 37, 1540, 4359)
 
 
 @pytest.mark.parametrize(

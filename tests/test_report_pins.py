@@ -182,9 +182,12 @@ def test_real_size_front_end_outputs_are_pinned(tmp_path, capsys):
 # prove golden nodes against implementation nodes only: the CNF, the
 # verdicts and the trace did not change, the solver counters did
 # (decisions, conflicts, propagations and sweep-refuted 461/133/9,725/7
-# -> 444/120/8,254/3 and 717/137/10,887/9 -> 515/114/8,152/3).
-KS16_SWEEP_CNF_SHA256 = "ecc5be2093824484b5bd494b6ec0e44b86b8d3150bcd261e66a27254a605e947"
-KS16_NODFF_CNF_SHA256 = "e3077faebb31fe6dc53d8b431f03ba889ad509b7fc8a6ab0512e291515de36a2"
+# -> 444/120/8,254/3 and 717/137/10,887/9 -> 515/114/8,152/3), and again
+# when the solver's activities began to decay (decisions, conflicts and
+# propagations 444/120/8,254 -> 274/105/6,343 and 515/114/8,152 ->
+# 384/100/6,968).
+KS16_SWEEP_CNF_SHA256 = "dc7bb9fc85cab616727622bead8c9ef7bfae89bff4e8f99b1dec147b8ba0237e"
+KS16_NODFF_CNF_SHA256 = "c4e173a6f517c6ff86891b3fff748cb2e229a7a858a5cbb1779929b469f3a292"
 
 
 def test_swept_adder_reports_and_cnf_are_pinned(tmp_path, capsys):
@@ -210,8 +213,10 @@ def test_swept_adder_reports_and_cnf_are_pinned(tmp_path, capsys):
 # Regenerated again when canonicalization became one solver call
 # (`canon-sat-calls` 2 -> 1), and when the sweep began to prove golden
 # nodes against implementation nodes only (decisions, conflicts,
-# propagations and sweep-refuted 489/157/11,607/7 -> 408/119/8,312/3).
-KS16_SWAP2_PER_OUTPUT_SHA256 = "8549cb78a7dffc7e8d4ed50a531189b163da1d47c344430dd042d5afec997e6e"
+# propagations and sweep-refuted 489/157/11,607/7 -> 408/119/8,312/3), and
+# when the solver's activities began to decay (decisions, conflicts and
+# propagations 408/119/8,312 -> 224/97/5,632).
+KS16_SWAP2_PER_OUTPUT_SHA256 = "7fc788c3f2880455889e6e8a595d534461ba2eb37598bdf8dbf4d7e56e4f0558"
 
 
 def test_mixed_per_output_report_is_pinned(tmp_path, capsys):

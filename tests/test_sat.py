@@ -7,7 +7,7 @@ from gen import kogge_stone_adder, ripple_adder, sfqify
 from sfqlec import build_mcid, build_miter, builtin_profile
 from sfqlec.aig import FALSE, TRUE, Aig
 from sfqlec.mcid import TimedSignal
-from sfqlec.sat import Budget, CdclSolver, Cnf, cnf_from_aig, to_dimacs
+from sfqlec.sat import Budget, CdclSolver, Cnf, Tseitin, cnf_from_aig, to_dimacs
 
 
 def brute_force(num_vars, clauses):
@@ -128,6 +128,19 @@ def test_cnf_from_aig_of_a_constant_root():
     assert to_dimacs(cnf_from_aig(g, FALSE)) == "p cnf 0 1\n0\n"
 
 
+def test_a_lazily_encoded_constant_edge_is_fixed():
+    """`Tseitin.lit` on the constant numbers node 0 with a unit clause
+    making it TRUE, so no model sets FALSE, alone or beside other nodes."""
+    g = Aig()
+    ab = g.and_(g.input_("a"), g.input_("b"))
+    solver = CdclSolver()
+    enc = Tseitin(g, solver.add_clause)
+    x = enc.lit(ab)
+    assert solver.solve([enc.lit(FALSE)]) == ("unsat", None)
+    assert solver.solve([x, -enc.lit(TRUE)]) == ("unsat", None)
+    assert solver.solve([x, enc.lit(TRUE)])[0] == "sat"
+
+
 def test_cnf_solutions_match_aig_evaluation():
     for seed in range(40):
         rng = random.Random(seed)
@@ -170,7 +183,7 @@ def test_dimacs_output_is_stable():
 
 
 @pytest.mark.parametrize(
-    "n_bits, work", [(16, (2561, 1257, 88707)), (24, (6132, 2995, 286075))]
+    "n_bits, work", [(16, (2107, 1308, 81228)), (24, (6694, 3461, 288865))]
 )
 def test_whole_miter_solve_work_is_pinned(n_bits, work):
     """One plain solve of the whole ks-vs-ripple miter, as the decide phase

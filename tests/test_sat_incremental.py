@@ -6,10 +6,12 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from heapq import heapify
 
 import reference
 from gen import kogge_stone_adder, ripple_adder, sfqify
 from sfqlec import build_mcid, build_miter, builtin_profile, inject, verify
+from sfqlec import sat as sat_module
 from sfqlec.miter import VerdictStats
 from sfqlec.sat import Budget, CdclSolver, SolverStats, Tseitin, cnf_from_aig
 
@@ -335,7 +337,7 @@ def encode_and_solve(n_bits):
     """A solver fed clause by clause through `Tseitin`, as `miter._Sweep`
     grows its own: each output's XOR is encoded only when first asked
     for, so its new variables arrive after earlier calls bumped and
-    halved the activities of the old ones."""
+    rescaled the activities of the old ones."""
     miter = build_miter(build_mcid(sfqify(kogge_stone_adder(n_bits)), builtin_profile("rsfq")), ripple_adder(n_bits))
     solver = CdclSolver()
     enc = Tseitin(miter.aig, solver.add_clause)
@@ -348,11 +350,14 @@ def encode_and_solve(n_bits):
 
 
 def test_decision_heap_picks_what_a_scan_picks(monkeypatch):
+    rescaled = []  # each order list a rescale rebuilt, with `heapify`
+    monkeypatch.setattr(sat_module, "heapify", lambda order: rescaled.append(order) or heapify(order))
+
     def work():
         out = []
         for nv, clauses in [pigeonhole(5), pigeonhole(6)]:
             solver = CdclSolver(nv, clauses)
-            out.append((solver.solve(), solver.solve([1, -nv]), solver.stats))
+            out.append((solver.solve(), solver.solve([1, -nv]), solver.stats, len(rescaled)))
         for seed in range(30):
             rng = random.Random(9000 + seed)
             nv = rng.randint(20, 40)
@@ -361,12 +366,16 @@ def test_decision_heap_picks_what_a_scan_picks(monkeypatch):
                 out.append(solver.solve(random_assumptions(rng, nv)))
                 solver.add_clause(random_3cnf(rng, nv + 1, 1)[0])
             out.append(solver.stats)
-        out.append(encode_and_solve(16))
+        before = len(rescaled)
+        out.append((encode_and_solve(24), len(rescaled) - before))
+        rescaled.clear()
         return out
 
     by_heap = work()
-    assert by_heap[1][2].conflicts > 256  # activities were halved on the way
-    assert by_heap[-1][2].conflicts > 256
+    # activities were rescaled on the way: in pigeonhole(6), and in the
+    # encoding before some of its variables arrived
+    assert by_heap[1][3] > by_heap[0][3]
+    assert by_heap[-1][1] > 0
     # every pick, not just the totals: each is the scan's on the same state
     decide = CdclSolver._decide
 
@@ -379,6 +388,21 @@ def test_decision_heap_picks_what_a_scan_picks(monkeypatch):
     assert work() == by_heap
     monkeypatch.setattr(CdclSolver, "_decide", scan_decide)
     assert work() == by_heap
+
+
+def test_later_bumps_outrank_earlier_ones():
+    """Activities decay: variables 1 and 2 are each bumped by two
+    conflicts, 1 by the first two and 2 by the last two, so 2 is decided
+    first although a tie would go to 1.  Each call's assumption `a` meets
+    the clauses (-a, x) and (-a, -x): one conflict bumps a and x, and the
+    learned unit -a ends the call."""
+    solver = CdclSolver(2)
+    for a, x in [(3, 1), (4, 1), (5, 2), (6, 2)]:
+        solver.add_clause((-a, x))
+        solver.add_clause((-a, -x))
+        assert solver.solve([a]) == ("unsat", None)
+    assert solver.stats.conflicts == 4 and solver.activity[2] > solver.activity[1] > 0
+    assert solver._decide() == 2
 
 
 def search_path(seeds=range(40)):
@@ -417,9 +441,9 @@ def test_search_path_is_pinned():
     """Propagation order, watch lists and clause layout decide every model
     the solver returns; a speed-up of the solver must keep all three."""
     calls, stats, clauses = search_path()
-    assert calls == "99edd383efe2fc44d504338a494462f755889782e8dc2a075ea8ff078e500161"
-    assert stats == SolverStats(decisions=735, conflicts=563, propagations=6962, learned=495)
-    assert clauses == "a1c4dd95fd44685699533617ef4701f85fb8d4d21bf97dfd41415273bd7b5df0"
+    assert calls == "012f6a85ef4a8882264e3a9a414032171a4fc589d9f2194a0b6c0829493f634b"
+    assert stats == SolverStats(decisions=697, conflicts=547, propagations=6752, learned=477)
+    assert clauses == "8da277c1f6d98b3fbb408e9afc7828e6f4ee40dc85076c4de96492eeae30262d"
 
 
 def assert_clauses_held_by_reference(solver):
