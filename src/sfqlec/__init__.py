@@ -13,7 +13,6 @@ from .mcid import (
 )
 from .miter import Miter, Verdict, VerdictStats, build_miter, check_equivalence, extract_trace, verify
 from .netlist import (
-    BaseDistanceSet,
     Gate,
     Netlist,
     NetlistError,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrivalSchedule",
-    "BaseDistanceSet",
     "CdclSolver",
     "CheckReport",
     "Cnf",

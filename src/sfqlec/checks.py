@@ -2,10 +2,10 @@
 
 Both checks read what `netlist` computes: the fanout check counts each
 net's readers, and the balance check reads the base distance sets (for
-each net, the clocked-gate path lengths from any primary input).  A
-correctly balanced circuit has a singleton set at every gate (the same data
-wave arrives on all its pins together) and one common depth across the
-primary outputs.
+each net, the sorted tuple of clocked-gate path lengths from any primary
+input).  A correctly balanced circuit has a singleton set at every gate
+(the same data wave arrives on all its pins together) and one common
+depth across the primary outputs.
 """
 
 from .errors import Value
@@ -81,43 +81,39 @@ def check_path_balance(
         driver_of = netlist.driver_of
         # A gate's set is a singleton exactly when all its fanins hold the
         # same singleton, so only a gate with a wider set has a bad fanin.
-        for net, (_, d, _) in dists.items():  # PIs (always singletons), then gates in order
+        for net, d in dists.items():  # PIs (always singletons), then gates in order
             if len(d) == 1:
                 continue
-            fanins = [dists[src] for src in driver_of[net].inputs]
-            bad = next((f for f in fanins if not f.is_singleton), None)
+            ins = driver_of[net].inputs
+            bad = next((src for src in ins if len(dists[src]) > 1), None)
             if bad is not None:
                 report.violations.append(
                     Violation(
                         UNBALANCED_FANIN,
                         net,
-                        f"fanin {bad.net} has path lengths {{{','.join(map(str, bad.distances))}}}",
+                        f"fanin {bad} has path lengths {{{','.join(map(str, dists[bad]))}}}",
                     )
                 )
                 continue
-            first = fanins[0]
-            mismatch = next(f for f in fanins[1:] if f.depth != first.depth)
+            first = ins[0]
+            mismatch = next(src for src in ins[1:] if dists[src] != dists[first])
             report.violations.append(
                 Violation(
                     UNBALANCED_FANIN,
                     net,
-                    f"fanin {first.net} at depth {first.depth} vs {mismatch.net} at depth {mismatch.depth}",
+                    f"fanin {first} at depth {dists[first][0]} vs {mismatch} at depth {dists[mismatch][0]}",
                 )
             )
-    po_sets = [dists[po] for po in netlist.primary_outputs]
-    singleton_depths = {s.depth for s in po_sets if s.is_singleton}
+    po_sets = [(po, dists[po]) for po in netlist.primary_outputs]
+    singleton_depths = {d[0] for _, d in po_sets if len(d) == 1}
     want = min(singleton_depths) if singleton_depths else None
-    for s in po_sets:
-        if not s.is_singleton:
+    for po, d in po_sets:
+        if len(d) > 1:
             report.violations.append(
-                Violation(
-                    UNEQUAL_OUTPUT_DEPTH,
-                    s.net,
-                    f"path lengths {{{','.join(map(str, s.distances))}}}",
-                )
+                Violation(UNEQUAL_OUTPUT_DEPTH, po, f"path lengths {{{','.join(map(str, d))}}}")
             )
-        elif want is not None and s.depth != want:
+        elif want is not None and d[0] != want:
             report.violations.append(
-                Violation(UNEQUAL_OUTPUT_DEPTH, s.net, f"depth {s.depth} differs from depth {want}")
+                Violation(UNEQUAL_OUTPUT_DEPTH, po, f"depth {d[0]} differs from depth {want}")
             )
     return report

@@ -158,8 +158,8 @@ def mcid_size_upper_bound(
     levels = logic_levels(netlist, profile)
     total = 0
     for out in removed_dffs:
-        gate = netlist.driver_of[out]
-        if gate.kind.name != "DFF":
+        gate = netlist.driver_of.get(out)
+        if gate is None or gate.kind.name != "DFF":
             raise ValueError(f"{out} is not a DFF")
         total += (1 << levels[gate.inputs[0]]) - 1
     return total

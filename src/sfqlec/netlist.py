@@ -5,15 +5,14 @@ property of the gate kind (there are no clock nets): every clocked gate is
 one pipeline stage deep.  Which kinds count as clocked is decided by the
 technology profile alone.
 
-Depth is one forward pass, `base_distances`: for each net, the set of
-clocked-gate path lengths from any primary input down to that net.  A
-net's logic level is the largest value of its set.
+Depth is one forward pass, `base_distances`: for each net, the sorted
+tuple of clocked-gate path lengths from any primary input down to that
+net.  A net's logic level is the largest value of its set.
 
-`Gate` and `BaseDistanceSet` are tuple-backed records (`typing.NamedTuple`):
-immutable, hashed and compared by value, and equal to the plain tuple of
-their fields.  Hot loops build records as `tuple.__new__(Record, fields)`,
-the same record without the Python-level constructor (so without field
-defaults).
+`Gate` is a tuple-backed record (`typing.NamedTuple`): immutable, hashed
+and compared by value, and equal to the plain tuple of its fields.  Hot
+loops build gates as `tuple.__new__(Gate, fields)`, the same record
+without the Python-level constructor (so without field defaults).
 """
 
 from collections import Counter
@@ -248,59 +247,43 @@ def count_readers(netlist: Netlist) -> dict[str, int]:
 DISTANCE_CAP = 64
 
 
-class BaseDistanceSet(NamedTuple):
-    net: str
-    distances: tuple[int, ...]  # sorted, possibly truncated to (min, max)
-    truncated: bool = False
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.distances) == 1  # a truncated set holds two values
-
-    @property
-    def depth(self) -> int:
-        return self.distances[-1]
-
-
 def base_distances(
     netlist: Netlist, profile: TechnologyProfile, shifts: dict[str, int] | None = None
-) -> dict[str, BaseDistanceSet]:
-    """One forward pass in topological order; each gate is visited once.
+) -> dict[str, tuple[int, ...]]:
+    """Each net's sorted clocked-gate path lengths from the primary inputs.
+
+    One forward pass in topological order; each gate is visited once.
     Each input starts at its lateness in `shifts` (0 when absent).  Keys are
-    the PIs, then the gates in `netlist.order`."""
-    non_clocked, new = profile.non_clocked_kinds, tuple.__new__
+    the PIs, then the gates in `netlist.order`.  A set wider than
+    `DISTANCE_CAP`, or merged from such a cut set, keeps only (min, max)."""
+    non_clocked = profile.non_clocked_kinds
     shifts = shifts or {}
-    out = {pi: BaseDistanceSet(pi, (shifts.get(pi, 0),)) for pi in netlist.primary_inputs}
+    out = {pi: (shifts.get(pi, 0),) for pi in netlist.primary_inputs}
+    cut: set[str] = set()
     for kind, ins, net in netlist.order:
         step = 0 if kind.name in non_clocked else 1
-        _, d, _ = out[ins[0]]
+        d = out[ins[0]]
         if len(d) == 1:
             for src in ins[1:]:
-                if out[src].distances != d:
+                if out[src] != d:
                     break
             else:  # every fanin holds the same singleton
-                out[net] = new(BaseDistanceSet, (net, (d[0] + step,) if step else d, False))
+                out[net] = (d[0] + step,) if step else d
                 continue
-        merged: set[int] = set()
-        truncated = False
-        for src in ins:
-            _, dists, cut = out[src]
-            truncated = truncated or cut
-            merged.update(d + step for d in dists)
-        if len(merged) > DISTANCE_CAP:
-            truncated = True
-        if truncated:
-            merged = {min(merged), max(merged)}
-        out[net] = new(BaseDistanceSet, (net, tuple(sorted(merged)), truncated))
+        merged = sorted(set().union(*map(out.__getitem__, ins)))
+        if len(merged) > DISTANCE_CAP or not cut.isdisjoint(ins):
+            cut.add(net)
+            merged = merged[0], merged[-1]
+        out[net] = tuple([x + step for x in merged])
     return out
 
 
 def logic_levels(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> dict[str, int]:
     """Level of every net: max count of clocked gates on any PI-to-net path."""
-    return {net: s.distances[-1] for net, s in base_distances(netlist, profile).items()}
+    return {net: d[-1] for net, d in base_distances(netlist, profile).items()}
 
 
 def circuit_depth(netlist: Netlist, profile: TechnologyProfile = RSFQ) -> int:
     """Maximum logic level over the primary outputs."""
     dists = base_distances(netlist, profile)
-    return max((dists[po].depth for po in netlist.primary_outputs), default=0)
+    return max((dists[po][-1] for po in netlist.primary_outputs), default=0)

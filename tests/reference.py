@@ -43,7 +43,6 @@ from sfqlec.itcl import ArrivalSchedule, apply_itcl, match_inputs
 from sfqlec.mcid import MCIDCircuit, TimedSignal, build_mcid
 from sfqlec.netlist import (
     DISTANCE_CAP,
-    BaseDistanceSet,
     BenchParseError,
     Gate,
     Netlist,
@@ -173,24 +172,23 @@ def parse_netlist(text: str):
     return pis, pos, gates, validated_order(pis, pos, gates)
 
 
-def base_distances(netlist, profile, shifts=None) -> dict[str, BaseDistanceSet]:
+def base_distances(netlist, profile, shifts=None) -> dict[str, tuple[int, ...]]:
     shifts = shifts or {}
-    out: dict[str, BaseDistanceSet] = {
-        pi: BaseDistanceSet(pi, (shifts.get(pi, 0),)) for pi in netlist.primary_inputs
-    }
+    out = {pi: (shifts.get(pi, 0),) for pi in netlist.primary_inputs}
+    cut: set[str] = set()  # nets whose sets were truncated to (min, max)
     for g in netlist.order:
         step = 1 if profile.is_clocked(g.kind.name) else 0
         merged: set[int] = set()
         truncated = False
         for net in g.inputs:
-            src = out[net]
-            truncated = truncated or src.truncated
-            merged.update(d + step for d in src.distances)
+            truncated = truncated or net in cut
+            merged.update(d + step for d in out[net])
         if len(merged) > DISTANCE_CAP:
             truncated = True
         if truncated:
+            cut.add(g.output)
             merged = {min(merged), max(merged)}
-        out[g.output] = BaseDistanceSet(g.output, tuple(sorted(merged)), truncated)
+        out[g.output] = tuple(sorted(merged))
     return out
 
 
@@ -203,34 +201,34 @@ def check_path_balance(netlist, profile, po_only=False, shifts=None) -> CheckRep
     dists = base_distances(netlist, profile, shifts)
     if not po_only:
         for g in netlist.order:
-            fanins = [dists[net] for net in g.inputs]
-            bad = next((f for f in fanins if not f.is_singleton), None)
+            bad = next((net for net in g.inputs if len(dists[net]) != 1), None)
             if bad is not None:
-                lengths = ",".join(map(str, bad.distances))
+                lengths = ",".join(map(str, dists[bad]))
                 report.violations.append(
-                    Violation(UNBALANCED_FANIN, g.output, f"fanin {bad.net} has path lengths {{{lengths}}}")
+                    Violation(UNBALANCED_FANIN, g.output, f"fanin {bad} has path lengths {{{lengths}}}")
                 )
                 continue
-            first = fanins[0]
-            mismatch = next((f for f in fanins[1:] if f.depth != first.depth), None)
+            first = g.inputs[0]
+            depth = dists[first][0]
+            mismatch = next((net for net in g.inputs[1:] if dists[net][0] != depth), None)
             if mismatch is not None:
                 report.violations.append(
                     Violation(
                         UNBALANCED_FANIN,
                         g.output,
-                        f"fanin {first.net} at depth {first.depth} vs {mismatch.net} at depth {mismatch.depth}",
+                        f"fanin {first} at depth {depth} vs {mismatch} at depth {dists[mismatch][0]}",
                     )
                 )
-    po_sets = [dists[po] for po in netlist.primary_outputs]
-    singleton_depths = {s.depth for s in po_sets if s.is_singleton}
+    singleton_depths = {dists[po][0] for po in netlist.primary_outputs if len(dists[po]) == 1}
     want = min(singleton_depths) if singleton_depths else None
-    for s in po_sets:
-        if not s.is_singleton:
-            lengths = ",".join(map(str, s.distances))
-            report.violations.append(Violation(UNEQUAL_OUTPUT_DEPTH, s.net, f"path lengths {{{lengths}}}"))
-        elif want is not None and s.depth != want:
+    for po in netlist.primary_outputs:
+        d = dists[po]
+        if len(d) != 1:
+            lengths = ",".join(map(str, d))
+            report.violations.append(Violation(UNEQUAL_OUTPUT_DEPTH, po, f"path lengths {{{lengths}}}"))
+        elif want is not None and d[0] != want:
             report.violations.append(
-                Violation(UNEQUAL_OUTPUT_DEPTH, s.net, f"depth {s.depth} differs from depth {want}")
+                Violation(UNEQUAL_OUTPUT_DEPTH, po, f"depth {d[0]} differs from depth {want}")
             )
     return report
 

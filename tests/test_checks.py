@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 import sfqlec
 import sfqlec.checks
 import sfqlec.netlist
@@ -20,7 +18,7 @@ from sfqlec.checks import (
     UNEQUAL_OUTPUT_DEPTH,
     Violation,
 )
-from sfqlec.netlist import DISTANCE_CAP, BaseDistanceSet
+from sfqlec.netlist import DISTANCE_CAP
 
 RSFQ = builtin_profile("rsfq")
 AQFP = builtin_profile("aqfp")
@@ -75,12 +73,10 @@ def test_cmos_profile_skips_both_checks():
 
 def test_base_distances_on_late_arrival_circuit():
     dists = base_distances(late_d_netlist(), RSFQ)
-    assert dists["d"].distances == (0,)
-    assert dists["t1"].is_singleton and dists["t1"].depth == 2
-    assert dists["t2"].distances == (1, 2)
-    assert dists["out"].distances == (4, 5)
-    assert not dists["out"].is_singleton
-    assert not dists["out"].truncated
+    assert dists["d"] == (0,)
+    assert dists["t1"] == (2,)
+    assert dists["t2"] == (1, 2)
+    assert dists["out"] == (4, 5)
 
 
 def test_path_balance_violations_on_late_arrival_circuit():
@@ -138,9 +134,7 @@ def test_distance_sets_match_definitional_recursion():
         net = random_pipeline(rng, n_pis=rng.randint(2, 4), n_gates=rng.randint(3, 16))
         dists = base_distances(net, RSFQ)
         for net_name, want in enumerate_path_sets(net).items():
-            got = dists[net_name]
-            assert not got.truncated
-            assert frozenset(got.distances) == want, (seed, net_name)
+            assert dists[net_name] == tuple(sorted(want)), (seed, net_name)
 
 
 def test_wide_distance_sets_are_truncated_not_enumerated():
@@ -158,31 +152,11 @@ def test_wide_distance_sets_are_truncated_not_enumerated():
     lines.append(f"out = BUF({prev})")
     net = parse_netlist("\n".join(lines) + "\n")
     dists = base_distances(net, RSFQ)
-    top = dists["out"]
-    assert top.truncated
-    assert len(top.distances) == 2  # collapsed to (min, max)
-    assert top.distances == (n_stages + 1, 2 * n_stages + 1)
+    assert dists["out"] == (n_stages + 1, 2 * n_stages + 1)  # collapsed to (min, max)
     rep = check_path_balance(net, RSFQ)
     assert not rep.passed
-
-
-def test_base_distance_set_is_an_immutable_value_record():
-    s = BaseDistanceSet("n", (2, 5), True)
-    assert s == BaseDistanceSet(net="n", distances=(2, 5), truncated=True)  # names, order
-    assert (s.net, s.distances, s.truncated) == ("n", (2, 5), True)
-    assert s == ("n", (2, 5), True)  # tuple-backed: equal to the plain tuple of its fields
-    assert BaseDistanceSet("n", (3,)) == ("n", (3,), False)  # truncated defaults to False
-    assert hash(s) == hash(BaseDistanceSet("n", (2, 5), True))
-    assert len({s, BaseDistanceSet("n", (2, 5), True)}) == 1
-    assert s != BaseDistanceSet("n", (2, 5))
-    with pytest.raises(AttributeError):
-        s.truncated = False
-    assert repr(s) == "BaseDistanceSet(net='n', distances=(2, 5), truncated=True)"
-    assert (s.is_singleton, s.depth) == (False, 5)
-    assert (BaseDistanceSet("n", (3,)).is_singleton, BaseDistanceSet("n", (3,)).depth) == (True, 3)
 
 
 def test_distance_names_resolve_to_the_netlist_module():
     assert sfqlec.checks.base_distances is sfqlec.netlist.base_distances
     assert sfqlec.base_distances is sfqlec.netlist.base_distances
-    assert sfqlec.BaseDistanceSet is sfqlec.netlist.BaseDistanceSet

@@ -168,6 +168,20 @@ def test_verify_balance_warnings_follow_the_arrival_schedule(work, capsys):
     assert warnings(work / "late_b.bench", work / "ripple16.bench", "--arrivals", late) == (0, [])
 
 
+def test_verify_po_only_balance_keeps_only_the_output_depth_warning(work, capsys):
+    args = ("verify", work / "late_d.bench", work / "late_d_golden.bench")
+    code, full_out, full_err = run(capsys, *args)
+    full = [line for line in full_err.splitlines() if line.startswith("WARNING")]
+    assert code == 1
+    assert len(full) == 7
+    assert all(line.startswith("WARNING VIOLATION UnbalancedFanin ") for line in full[:6])
+    assert full[6] == "WARNING VIOLATION UnequalOutputDepth out path lengths {4,5}"
+    code, po_out, po_err = run(capsys, *args, "--po-only-balance")
+    assert code == 1
+    assert [line for line in po_err.splitlines() if line.startswith("WARNING")] == full[6:]
+    assert po_out == full_out
+
+
 def test_verify_report_is_deterministic(work, capsys):
     args = ("verify", work / "late_d.bench", work / "late_d_golden.bench")
     _, first, _ = run(capsys, *args)
@@ -669,7 +683,7 @@ for name, module in list(sys.modules.items()):
 """
 
 
-def test_importing_the_cli_builds_only_the_three_tuple_records():
+def test_importing_the_cli_builds_only_the_two_tuple_records():
     """Each `typing.NamedTuple` class costs a code generation at import;
     only the records that hot loops build as tuples are NamedTuples."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -677,7 +691,7 @@ def test_importing_the_cli_builds_only_the_three_tuple_records():
         [sys.executable, "-I", "-c", FIELDS_PROBE, os.path.abspath(src)],
         capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert sorted(built) == ["BaseDistanceSet", "Gate", "TimedSignal"]
+    assert sorted(built) == ["Gate", "TimedSignal"]
 
 
 def test_the_package_runs_as_a_module_from_a_checkout():

@@ -32,7 +32,7 @@ from sfqlec import (
 )
 from sfqlec.checks import UNBALANCED_FANIN, UNEQUAL_OUTPUT_DEPTH
 from sfqlec.mcid import TimedSignal
-from sfqlec.netlist import DISTANCE_CAP, BaseDistanceSet, Gate, bench_text, get_kind
+from sfqlec.netlist import DISTANCE_CAP, Gate, bench_text, get_kind
 
 PROFILES = [builtin_profile(name) for name in ("rsfq", "aqfp", "cmos")]
 
@@ -136,11 +136,11 @@ def test_path_balance_matches_the_reference(name, net):
                 if po_only or not profile.requires_path_balancing:
                     continue
                 # the gates flagged are exactly those whose own set is wider
-                # than one value, and a truncated set keeps exactly two
+                # than one value, and no set is wider than the cap
                 dists = base_distances(net, profile, shifts)
                 flagged = [v.location for v in got.violations if v.kind == UNBALANCED_FANIN]
-                assert flagged == [n for n, s in dists.items() if len(s.distances) > 1]
-                assert all(len(s.distances) == 2 for s in dists.values() if s.truncated)
+                assert flagged == [n for n, d in dists.items() if len(d) > 1]
+                assert all(len(d) <= DISTANCE_CAP for d in dists.values())
 
 
 def test_balance_compares_two_singleton_fanins_by_depth():
@@ -171,7 +171,7 @@ def test_records_keep_their_types(name, net):
     late = ArrivalSchedule(_shifts(net))
     for profile in PROFILES:
         dists = base_distances(parsed, profile, _shifts(net))
-        assert all(type(d) is BaseDistanceSet for d in dists.values())
+        assert all(type(d) is tuple for d in dists.values())
         mcid = build_mcid(parsed, profile)
         _assert_model_records(mcid)
         _assert_model_records(apply_itcl(mcid, late))
@@ -206,8 +206,10 @@ def test_miter_matches_the_reference(name, impl, spec, arrivals):
 
 
 def test_wide_sample_exercises_truncation():
+    # the sets widen by one value a stage up to the cap, then keep (min, max)
     dists = base_distances(wide_distance_netlist(), builtin_profile("rsfq"))
-    assert dists["out"].truncated
+    assert max(map(len, dists.values())) == DISTANCE_CAP
+    assert len(dists["out"]) == 2
 
 
 # ------------------------------------------------------------ diagnostics

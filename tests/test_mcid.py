@@ -146,8 +146,10 @@ def test_independent_removals_add_their_bounds():
 
 
 def test_upper_bound_rejects_non_dff_targets():
-    with pytest.raises(ValueError):
-        mcid_size_upper_bound(late_d_netlist(), ["na"], RSFQ)
+    # a gate that is not a DFF, a primary input and a name nothing drives
+    for name in ("na", "a", "zz"):
+        with pytest.raises(ValueError, match=f"^{name} is not a DFF$"):
+            mcid_size_upper_bound(late_d_netlist(), [name], RSFQ)
 
 
 def test_balanced_model_copies_each_logic_gate_once():
